@@ -8,7 +8,8 @@ regenerates all of them.  Each report is printed, written as a text table
 to ``benchmarks/reports/<name>.txt``, and — for machines rather than humans
 — as ``benchmarks/reports/BENCH_<name>.json`` carrying the same columns,
 rows, notes and the raw ``report.data`` payload (NumPy scalars converted,
-large arrays summarized).  The JSON files are what the CI bench-smoke job
+large arrays summarized), stamped with the commit, core count, numpy
+version and whether numba was importable.  The JSON files are what the CI bench-smoke job
 uploads, so the perf trajectory of the pipeline can be tracked PR over PR.
 
 Accuracy experiments run the "quick" profile — scaled-down Table 1
@@ -18,8 +19,10 @@ surrogates — so the suite finishes in minutes; pass
 
 from __future__ import annotations
 
+import functools
 import json
 import os
+import subprocess
 
 import numpy as np
 import pytest
@@ -72,6 +75,28 @@ def _jsonable(obj):
     return repr(obj)
 
 
+@functools.cache
+def _stamp() -> dict:
+    """Where a report was produced: the checkout's commit (``-dirty`` when
+    the working tree differs from it), cores, numpy and numba."""
+    from repro.embedding.compiled import NUMBA_AVAILABLE
+
+    try:
+        commit = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True, text=True, timeout=30, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        commit = "unknown"
+    return {
+        "commit": commit,
+        "nproc": os.cpu_count(),
+        "numpy": np.__version__,
+        "numba_available": NUMBA_AVAILABLE,
+    }
+
+
 def report_json_path(report_dir: str, report_name: str) -> str:
     """Canonical path of a report's machine-readable twin."""
     slug = report_name.lower().replace(" ", "_")
@@ -97,6 +122,7 @@ def emit_report(report_dir, capsys):
             "rows": _jsonable(list(report.rows)),
             "notes": _jsonable(list(report.notes)),
             "data": _jsonable(report.data),
+            "stamp": _stamp(),
         }
         json_path = report_json_path(report_dir, report.name)
         with open(json_path, "w", encoding="utf-8") as fh:

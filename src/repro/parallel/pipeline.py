@@ -143,6 +143,7 @@ from repro.parallel.snapshots import (
     resolve_snapshot_ref,
 )
 from repro.parallel.tasks import WalkTask
+from repro.sampling.lockstep import LOCKSTEP_MIN_WALKS, WalkBatch, lockstep_walks
 from repro.sampling.negative import walk_frequencies
 from repro.sampling.sources import NEGATIVE_SOURCES, NegativeSource, resolve_source
 from repro.sampling.walks import Node2VecWalker, WalkParams
@@ -193,20 +194,31 @@ def _init_worker(
 
 def _run_chunk(
     graph: CSRGraph, params: WalkParams, starts: np.ndarray, seed: int, lo: int
-) -> tuple[list[np.ndarray], float]:
-    """Walk one chunk; returns ``(walks, generation_seconds)``.
+) -> tuple[WalkBatch, float]:
+    """Walk one chunk; returns ``(batch, generation_seconds)``.
 
-    ``lo`` is the chunk's global walk offset: walk ``lo + k`` reseeds the
-    walker from its own per-walk stream, making the corpus independent of
-    how the start list was chunked.
+    ``lo`` is the chunk's global walk offset: walk ``lo + k`` draws from its
+    own per-walk stream, making the corpus independent of how the start
+    list was chunked.  A chunk of at least ``LOCKSTEP_MIN_WALKS`` walks on a
+    graph where every step draws one uniform (weighted graphs) advances all
+    its walks in lockstep, bitwise the same walks as the per-walk loop
+    (:mod:`repro.sampling.lockstep`); other chunks walk one at a time.
     """
     t0 = time.perf_counter()
     walker = Node2VecWalker(graph, params, seed=0)
-    walks = []
-    for k, s in enumerate(starts):
-        walker.rng = as_generator(np.random.SeedSequence([seed, _WALK_NS, lo + k]))
-        walks.append(walker.walk(int(s)))
-    return walks, time.perf_counter() - t0
+    streams = (
+        as_generator(np.random.SeedSequence([seed, _WALK_NS, lo + k]))
+        for k in range(len(starts))
+    )
+    if walker.one_uniform_per_step and len(starts) >= LOCKSTEP_MIN_WALKS:
+        batch = lockstep_walks(graph, params, starts, streams)
+    else:
+        walks = []
+        for s, rng in zip(starts, streams, strict=True):
+            walker.rng = rng
+            walks.append(walker.walk(int(s)))
+        batch = WalkBatch.from_walks(walks, params.length)
+    return batch, time.perf_counter() - t0
 
 
 def _walk_chunk_pickle(job: tuple) -> tuple:
@@ -216,21 +228,22 @@ def _walk_chunk_pickle(job: tuple) -> tuple:
     and the snapshot deserialized — at most once per worker per sid)."""
     starts, lo, graph_ref = job
     g = _WORKER_GRAPH if graph_ref is None else resolve_snapshot_ref(graph_ref)
-    walks, gen_s = _run_chunk(g, _WORKER_PARAMS, starts, _WORKER_SEED, lo)
-    return ("pickle", walks, gen_s)
+    batch, gen_s = _run_chunk(g, _WORKER_PARAMS, starts, _WORKER_SEED, lo)
+    return ("pickle", batch, gen_s)
 
 
 def _walk_chunk_shm(job: tuple) -> tuple:
-    """Pool entry point, shm transport: the chunk lands in a ring slot and
-    only a control tuple rides the result pipe.  Chunks ragged beyond the
-    slot shape degrade to the pickle payload for that chunk alone."""
+    """Pool entry point, shm transport: the chunk's padded batch is copied
+    into a ring slot in one block and only a control tuple rides the result
+    pipe.  Chunks ragged beyond the slot shape degrade to the pickle
+    payload for that chunk alone."""
     slot, starts, lo, graph_ref = job
     g = _WORKER_GRAPH if graph_ref is None else resolve_snapshot_ref(graph_ref)
     t0 = time.perf_counter()
-    walks, _ = _run_chunk(g, _WORKER_PARAMS, starts, _WORKER_SEED, lo)
-    if _WORKER_RING is not None and _WORKER_RING.write(slot, walks):
-        return ("shm", slot, len(walks), time.perf_counter() - t0)
-    return ("pickle", walks, time.perf_counter() - t0)
+    batch, _ = _run_chunk(g, _WORKER_PARAMS, starts, _WORKER_SEED, lo)
+    if _WORKER_RING is not None and _WORKER_RING.write(slot, batch):
+        return ("shm", slot, len(starts), time.perf_counter() - t0)
+    return ("pickle", batch, time.perf_counter() - t0)
 
 
 class _FlowStats:
@@ -277,7 +290,8 @@ class PipelineTelemetry:
     ``transport`` is the transport the last generation pass actually used
     (``"inline"`` when no worker pool ran, else ``"shm"``/``"pickle"`` after
     any availability fallback); ``ipc_walk_bytes`` the walk payload bytes
-    that crossed the pickle channel; ``chunk_sizes`` the per-epoch chunk
+    that crossed the pickle channel (each chunk's padded ``WalkBatch``:
+    rows plus lengths); ``chunk_sizes`` the per-epoch chunk
     size (one entry per epoch — informative under ``chunk_size="auto"``).
 
     ``n_chunks`` counts every chunk *consumed*, so per-chunk averages like
@@ -553,13 +567,14 @@ class ParallelWalkGenerator:
             self.effective_transport = "inline"
             for chunk_starts, lo, epoch, task_graph, _sid, _delta in job_iter:
                 stats.on_submit(len(chunk_starts))
-                walks, gen_s = _run_chunk(
+                batch, gen_s = _run_chunk(
                     task_graph if task_graph is not None else self.graph,
                     self.params,
                     chunk_starts,
                     self.seed,
                     lo,
                 )
+                walks = batch.walks()
                 stats.on_consume(len(walks))
                 yield walks, gen_s, epoch
             return
@@ -648,9 +663,10 @@ class ParallelWalkGenerator:
                         free_slots.append(slot_idx)
                         walks = None
                     else:
-                        _, walks, gen_s = result
+                        _, batch, gen_s = result
+                        walks = batch.walks()
                         stats.on_consume(len(walks))
-                        stats.ipc_walk_bytes += sum(w.nbytes for w in walks)
+                        stats.ipc_walk_bytes += batch.nbytes
                         if slot is not None:  # ragged fallback: slot unused
                             free_slots.append(slot)
                         _submit_next()

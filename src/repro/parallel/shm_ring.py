@@ -59,6 +59,7 @@ import os
 
 import numpy as np
 
+from repro.sampling.lockstep import WalkBatch
 from repro.utils.validation import check_positive
 
 __all__ = ["ShmWalkRing"]
@@ -147,25 +148,17 @@ class ShmWalkRing:
     # Slot I/O
     # ------------------------------------------------------------------ #
 
-    def fits(self, walks) -> bool:
-        """Whether a chunk of walks fits one slot's fixed shape."""
-        return len(walks) <= self.walks_per_slot and all(
-            len(w) <= self.walk_length for w in walks
-        )
-
-    def write(self, slot: int, walks) -> bool:
-        """Write a chunk into ``slot``; False (slot untouched) if it is
-        ragged beyond the slot shape — the caller then falls back to the
-        pickle channel for this chunk."""
-        if not self.fits(walks):
+    def write(self, slot: int, batch: WalkBatch) -> bool:
+        """Copy a chunk's padded :class:`~repro.sampling.lockstep.WalkBatch`
+        into ``slot`` in one block.  False (slot untouched) if it has more
+        walks or wider rows than the slot — the caller then falls back to
+        the pickle channel for this chunk."""
+        n, width = batch.data.shape
+        if n > self.walks_per_slot or width > self.walk_length:
             return False
-        lengths = self._lengths[slot]
-        data = self._data[slot]
-        for i, w in enumerate(walks):
-            n = len(w)
-            lengths[i] = n
-            data[i, :n] = w
-        self._counts[slot] = len(walks)
+        self._data[slot, :n, :width] = batch.data
+        self._lengths[slot, :n] = batch.lengths
+        self._counts[slot] = n
         return True
 
     def read(self, slot: int) -> list:

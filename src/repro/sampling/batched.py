@@ -19,6 +19,12 @@ array ops across the whole batch — typically ~10× faster corpus generation
 at Table 2 settings.  Distributional equivalence with the reference walker
 is asserted by tests; for q ≠ 1 use the reference walker.
 
+It draws a *different* random stream from :class:`Node2VecWalker` (a
+data-dependent number of uniforms per step), so its walks are not the
+per-walk walker's and the streaming pipeline does not use it.  The
+pipeline's bulk walker is :mod:`repro.sampling.lockstep`, which reproduces
+the per-walk walks bit for bit.
+
 Execution modes
 ---------------
 ``walk_batch`` runs either through the vectorized NumPy step loop
@@ -56,6 +62,9 @@ _POOL_FLOOR = 64
 
 class BatchedWalker:
     """Vectorized lockstep walker for q = 1 (weighted or unweighted).
+
+    Draws a different stream from :class:`Node2VecWalker`, so the pipeline
+    does not use it (module docstring).
 
     Parameters mirror :class:`~repro.sampling.walks.Node2VecWalker` plus the
     execution ``mode`` (module docstring); a ``ValueError`` is raised for
@@ -149,12 +158,9 @@ class BatchedWalker:
         ``out`` lets the caller provide the destination buffer instead of
         allocating one per batch — e.g. a reused scratch array, or a view
         into caller-owned shared storage so the batch lands where a
-        consumer will read it with no extra copy.  (The streaming
-        pipeline's shm transport currently writes per-walk via
-        ``ShmWalkRing.write``; this is the batched-producer counterpart
-        for q = 1 workloads.)  It must be an int64 array of shape
-        ``(len(starts), length)``; it is returned (fully overwritten,
-        padding included).
+        consumer will read it with no extra copy.  It must be an int64
+        array of shape ``(len(starts), length)``; it is returned (fully
+        overwritten, padding included).
 
         The batch is bitwise-identical across execution modes (module
         docstring) — only throughput and the walker RNG's final position

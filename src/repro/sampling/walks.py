@@ -98,6 +98,14 @@ class Node2VecWalker:
         elif strategy == "rejection":
             self._build_node_tables()
 
+    @property
+    def one_uniform_per_step(self) -> bool:
+        """Whether every transition draws exactly one ``rng.random()``:
+        the ``"exact"`` strategy on a weighted graph.  Such walks can be
+        reproduced in bulk (:mod:`repro.sampling.lockstep`); the unweighted
+        fast path calls ``rng.integers`` in a data-dependent pattern."""
+        return self.strategy == "exact" and not self._unweighted
+
     # ------------------------------------------------------------------ #
     # Preprocessing
     # ------------------------------------------------------------------ #

@@ -7,7 +7,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.graph import ring_of_cliques
+from repro.graph import degree_corrected_sbm, ring_of_cliques
 from repro.parallel import (
     NEGATIVE_SOURCES,
     ParallelWalkGenerator,
@@ -206,6 +206,29 @@ class TestGoldenRegression:
             negative_source=source, exec_backend="reference", seed=5,
         )
         assert self.digest_of(res) == self.GOLD[source]
+
+    #: weighted graphs walk in lockstep (repro.sampling.lockstep) once a
+    #: chunk reaches the crossover; these hashes were recorded with the
+    #: per-walk loop, before the lockstep path existed.  The graph has 13
+    #: isolated nodes, so some walks truncate at length 1.
+    WEIGHTED_GOLD = {
+        (0.5, 1.0): "ea2e32373efeeb7cc713b944ec782c25c082aa1ac07261e8fa49dc4a4936a8ff",
+        (2.0, 0.5): "d794a0bbadbf2f626f77fb6138e1adf99209b88fb040335ba4dd751c250e4e71",
+    }
+
+    @pytest.mark.parametrize(
+        "n_workers,transport", [(0, "shm"), (2, "shm"), (2, "pickle")]
+    )
+    @pytest.mark.parametrize("pq", sorted(WEIGHTED_GOLD))
+    def test_weighted_embedding_unchanged(self, pq, n_workers, transport):
+        p, q = pq
+        res = train_parallel(
+            degree_corrected_sbm(120, 4, avg_degree=3, seed=3),
+            dim=8, hyper=Node2VecParams(p=p, q=q, r=2, l=12, w=4, ns=3),
+            n_workers=n_workers, chunk_size=64, transport=transport,
+            negative_source="degree", exec_backend="reference", seed=5,
+        )
+        assert self.digest_of(res) == self.WEIGHTED_GOLD[pq]
 
     def test_reference_is_the_default_backend(self, graph):
         """Leaving exec_backend unset must keep hitting the goldens — the

@@ -16,6 +16,7 @@ from repro.parallel import (
     train_parallel,
 )
 from repro.parallel import pipeline as pipeline_mod
+from repro.sampling.lockstep import WalkBatch
 from repro.sampling.walks import WalkParams
 
 HP = Node2VecParams(r=2, l=12, w=4, ns=3)
@@ -53,6 +54,11 @@ def shm_segments() -> set:
     return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
 
 
+def pack(walks):
+    """A chunk as the padded batch workers hand the ring."""
+    return WalkBatch.from_walks(walks, max(len(w) for w in walks))
+
+
 @needs_shm
 class TestShmWalkRing:
     def test_write_read_roundtrip_ragged(self):
@@ -62,7 +68,7 @@ class TestShmWalkRing:
                 np.array([7], dtype=np.int64),
                 np.arange(5, dtype=np.int64) * 3,
             ]
-            assert ring.write(1, walks)
+            assert ring.write(1, pack(walks))
             back = ring.read(1)
             assert len(back) == 3
             for w, b in zip(walks, back, strict=True):
@@ -70,32 +76,32 @@ class TestShmWalkRing:
 
     def test_read_returns_views_not_copies(self):
         with ShmWalkRing.create(1, 2, 6) as ring:
-            ring.write(0, [np.arange(6, dtype=np.int64)])
+            ring.write(0, pack([np.arange(6, dtype=np.int64)]))
             view = ring.read(0)[0]
             assert view.base is not None  # a view into the segment
             # rewriting the slot is visible through the old view (aliasing
             # is the documented lifetime contract, not a bug)
-            ring.write(0, [np.zeros(6, dtype=np.int64)])
+            ring.write(0, pack([np.zeros(6, dtype=np.int64)]))
             assert np.array_equal(view, np.zeros(6))
 
     def test_slot_reuse_overwrites_count(self):
         with ShmWalkRing.create(1, 4, 6) as ring:
-            ring.write(0, [np.arange(6, dtype=np.int64)] * 4)
-            ring.write(0, [np.arange(3, dtype=np.int64)])
+            ring.write(0, pack([np.arange(6, dtype=np.int64)] * 4))
+            ring.write(0, pack([np.arange(3, dtype=np.int64)]))
             assert len(ring.read(0)) == 1
 
     def test_ragged_beyond_slot_rejected(self):
         with ShmWalkRing.create(1, 2, 6) as ring:
             # too many walks for the slot
-            assert not ring.write(0, [np.arange(3, dtype=np.int64)] * 3)
+            assert not ring.write(0, pack([np.arange(3, dtype=np.int64)] * 3))
             # a walk longer than the slot row
-            assert not ring.write(0, [np.arange(7, dtype=np.int64)])
+            assert not ring.write(0, pack([np.arange(7, dtype=np.int64)]))
             # and the slot was left untouched
             assert ring.read(0) == []
 
     def test_attach_sees_owner_writes(self):
         with ShmWalkRing.create(2, 3, 5) as ring:
-            ring.write(0, [np.array([1, 2, 3], dtype=np.int64)])
+            ring.write(0, pack([np.array([1, 2, 3], dtype=np.int64)]))
             other = ShmWalkRing.attach(ring.spec)
             try:
                 assert np.array_equal(other.read(0)[0], [1, 2, 3])
@@ -119,7 +125,7 @@ class TestShmWalkRing:
         views)."""
         before = shm_segments()
         ring = ShmWalkRing.create(1, 2, 6)
-        ring.write(0, [np.arange(6, dtype=np.int64)])
+        ring.write(0, pack([np.arange(6, dtype=np.int64)]))
         view = ring.read(0)[0]
         ring.close()
         ring.unlink()

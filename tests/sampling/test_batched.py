@@ -49,8 +49,7 @@ class TestGuards:
 
 class TestCallerProvidedBuffer:
     """walk_batch(out=...) writes into a caller-owned array — allocation-free
-    batch production for preallocated/shared destination buffers (the
-    batched counterpart of the per-walk ShmWalkRing.write path)."""
+    batch production for preallocated/shared destination buffers."""
 
     @pytest.fixture()
     def graph(self):
