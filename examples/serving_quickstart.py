@@ -22,7 +22,7 @@ import asyncio
 
 import numpy as np
 
-from repro import PipelineConfig, serve_embedding, train_embedding
+from repro import serve_embedding, train_embedding
 from repro.experiments.hyper import Node2VecParams
 from repro.graph import cora_like
 from repro.serving import EmbeddingService
@@ -36,11 +36,10 @@ async def main() -> None:
 
     # -- train with live publishing ------------------------------------- #
     # store= hooks a sharded store into the training loop: each of the 3
-    # epochs publishes a version (the config bundle carries the pipeline
-    # knobs; individual kwargs would override its fields)
-    cfg = PipelineConfig(n_workers=0, negative_source="degree")
+    # epochs publishes a version
     res = train_embedding(
-        graph, dim=32, hyper=hyper, seed=7, epochs=3, config=cfg, store="shm"
+        graph, dim=32, hyper=hyper, seed=7, epochs=3,
+        n_workers=0, negative_source="degree", store="shm",
     )
     store = res.store
     t = res.telemetry

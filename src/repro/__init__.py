@@ -34,7 +34,6 @@ Quickstart
 
 from repro._version import __version__
 from repro.api import (
-    PipelineConfig,
     quick_embedding,
     serve_embedding,
     train_dynamic,
@@ -43,7 +42,6 @@ from repro.api import (
 
 __all__ = [
     "__version__",
-    "PipelineConfig",
     "quick_embedding",
     "serve_embedding",
     "train_dynamic",

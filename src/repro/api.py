@@ -10,12 +10,6 @@ any trained table (or a live :class:`~repro.store.base.EmbeddingStore` a
 training run published into) behind the async query front end of
 :mod:`repro.serving`.
 
-The pipeline's seven execution knobs also travel as one frozen
-:class:`repro.config.PipelineConfig` accepted by every training entry
-point as ``config=``; individually passed kwargs override config fields
-(conflicting duplicates warn ``DeprecationWarning``, equal ones are
-silent).
-
 Imports of the genuinely heavy subpackages (the scipy-backed evaluation
 stack, experiments, fpga) happen lazily so that ``import repro`` stays
 cheap.  One deliberate exception: rendering the ``negative_source`` /
@@ -31,7 +25,6 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.config import PipelineConfig
 from repro.embedding.kernels import EXEC_REGISTRY
 from repro.sampling.sources import SOURCE_REGISTRY
 from repro.store import STORE_REGISTRY
@@ -47,7 +40,6 @@ if TYPE_CHECKING:  # annotation-only: the heavy layers stay lazily imported
     from repro.utils.rng import SeedLike
 
 __all__ = [
-    "PipelineConfig",
     "train_embedding",
     "train_dynamic",
     "quick_embedding",
@@ -71,6 +63,12 @@ _STORE_DOC = "\n".join(
 )
 
 
+def _passed(**knobs: Any) -> dict[str, Any]:
+    """The knobs the caller actually set (``None`` = not passed), so only
+    those are forwarded and the callee's own defaults apply to the rest."""
+    return {name: value for name, value in knobs.items() if value is not None}
+
+
 def train_embedding(
     graph: CSRGraph,
     *,
@@ -85,7 +83,6 @@ def train_embedding(
     chunk_size: int | str | None = None,
     prefetch: int | None = None,
     exec_backend: str | None = None,
-    config: PipelineConfig | None = None,
     store: str | EmbeddingStore | None = None,
     publish_every: int = 1,
     seed: SeedLike = None,
@@ -166,14 +163,6 @@ def train_embedding(
         pipeline-only knob: chunks kept in flight ahead of the trainer
         (default ``max(2, 2 * n_workers)``).  Setting it implies the
         pipelined path.
-    config:
-        a frozen :class:`repro.config.PipelineConfig` bundling the
-        pipeline knobs (n_workers, transport, chunk_size, prefetch,
-        exec_backend, negative_source, negative_power).  Individual kwargs
-        override config fields; a *conflicting* duplicate (both set,
-        different values) warns ``DeprecationWarning`` — the kwarg wins.
-        A config that sets any pipeline-routing knob implies the pipelined
-        path, exactly as the kwarg would.
     store:
         serving-store hookup (implies the pipelined path): a name from
         :data:`repro.store.STORE_REGISTRY` or a pre-constructed
@@ -198,32 +187,21 @@ def train_embedding(
     (n_nodes × dim), the trained model, op-count telemetry, and — on the
     pipelined path — per-stage ``telemetry``.
     """
-    cfg = config if config is not None else PipelineConfig()
-    # routing only — knob *values* merge downstream (in train_parallel or
-    # just below for the sequential path) so conflicts warn exactly once
-    pipelined = store is not None or any(
-        knob is not None
-        for knob in (
-            n_workers, negative_source, transport, chunk_size, prefetch,
-            cfg.n_workers, cfg.negative_source, cfg.transport,
-            cfg.chunk_size, cfg.prefetch,
-        )
+    # knobs left at None are not forwarded: the callee's own defaults apply
+    knobs = _passed(negative_power=negative_power, exec_backend=exec_backend)
+    routing = _passed(
+        n_workers=n_workers,
+        negative_source=negative_source,
+        transport=transport,
+        chunk_size=chunk_size,
+        prefetch=prefetch,
     )
-    if not pipelined:
+    if store is None and not routing:
         from repro.embedding.trainer import train_on_graph
 
-        knobs = cfg.merged(negative_power=negative_power, exec_backend=exec_backend)
-        power = knobs["negative_power"]
         return train_on_graph(
-            graph,
-            dim=dim,
-            model=model,
-            hyper=hyper,
-            epochs=epochs,
-            negative_power=0.75 if power is None else power,
-            exec_backend=knobs["exec_backend"],
-            seed=seed,
-            **model_kwargs,
+            graph, dim=dim, model=model, hyper=hyper, epochs=epochs, seed=seed,
+            **knobs, **model_kwargs,
         )
 
     from repro.parallel import train_parallel
@@ -234,17 +212,11 @@ def train_embedding(
         model=model,
         hyper=hyper,
         epochs=epochs,
-        n_workers=n_workers,
-        chunk_size=chunk_size,
-        prefetch=prefetch,
-        transport=transport,
-        negative_source=negative_source,
-        negative_power=negative_power,
-        exec_backend=exec_backend,
-        config=config,
         store=store,
         publish_every=publish_every,
         seed=seed,
+        **knobs,
+        **routing,
         **model_kwargs,
     )
 
@@ -267,7 +239,6 @@ def train_dynamic(
     prefetch: int | None = None,
     exec_backend: str | None = None,
     snapshot_rebase_every: int | None = None,
-    config: PipelineConfig | None = None,
     store: str | EmbeddingStore | None = None,
     publish_every: int = 1,
     seed: SeedLike = None,
@@ -303,8 +274,6 @@ def train_dynamic(
     :func:`repro.parallel.train_parallel`; ``1`` disables, embeddings are
     bit-identical either way).
 
-    ``config`` accepts the same frozen :class:`repro.config.PipelineConfig`
-    as :func:`train_embedding`, with the same kwarg-wins precedence.
     ``store`` hooks the replay up to the serving layer (a
     :data:`repro.store.STORE_REGISTRY` name or an
     :class:`~repro.store.base.EmbeddingStore` instance):
@@ -335,18 +304,19 @@ def train_dynamic(
         max_events=max_events,
         initial_training=initial_training,
         walks_per_endpoint=walks_per_endpoint,
-        n_workers=n_workers,
-        chunk_size=chunk_size,
-        prefetch=prefetch,
-        transport=transport,
-        negative_source=negative_source,
-        negative_power=negative_power,
-        exec_backend=exec_backend,
-        snapshot_rebase_every=snapshot_rebase_every,
-        config=config,
         store=store,
         publish_every=publish_every,
         model_kwargs=model_kwargs or None,
+        **_passed(
+            n_workers=n_workers,
+            chunk_size=chunk_size,
+            prefetch=prefetch,
+            transport=transport,
+            negative_source=negative_source,
+            negative_power=negative_power,
+            exec_backend=exec_backend,
+            snapshot_rebase_every=snapshot_rebase_every,
+        ),
     )
 
 

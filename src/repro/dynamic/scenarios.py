@@ -122,11 +122,10 @@ def run_seq_scenario(
     chunk_size: int | None = None,
     prefetch: int | None = None,
     transport: str | None = None,
-    negative_source=None,
+    negative_source="decayed",
     negative_power: float | None = None,
     exec_backend: str | None = None,
     snapshot_rebase_every: int | None = None,
-    config=None,
     store=None,
     publish_every: int = 1,
     model_kwargs: dict | None = None,
@@ -161,15 +160,14 @@ def run_seq_scenario(
     negative_source:
         any :data:`repro.sampling.sources.SOURCE_REGISTRY` name or
         :class:`~repro.sampling.sources.NegativeSource` instance.  Default
-        (when neither the kwarg nor ``config`` set it) ``"decayed"``: the
-        online source that folds the replay's walk
+        ``"decayed"``: the online source that folds the replay's walk
         frequencies into an exponentially-decayed count vector and rebuilds
         its alias table every K virtual chunks — the streaming successor of
         the old per-event ``sampler_refresh`` loop (tune via a
         ``DecayedSource(decay=…, rebuild_every=…)`` instance).
     exec_backend:
         chunk-execution kernel (``"reference"`` | ``"fused"`` |
-        ``"blocked"``, see :mod:`repro.embedding.kernels`); ``None``
+        ``"blocked"`` | ``"compiled"``, see :mod:`repro.embedding.kernels`); ``None``
         follows the model's own preference.  ``"blocked"`` is the fast
         path for the OS-ELM ``"proposed"`` model this scenario defaults
         to — the rank-k RLS block solves batch each event's walk updates.
@@ -181,11 +179,6 @@ def run_seq_scenario(
         into their cached CSR (``1`` disables; embeddings are
         bit-identical either way, and ``ipc_delta_bytes`` /
         ``delta_applies`` / ``rebase_count`` land in the telemetry).
-    config:
-        a frozen :class:`repro.config.PipelineConfig` bundling the
-        pipeline knobs; individual kwargs override its fields (the
-        :meth:`~repro.config.PipelineConfig.merged` precedence contract,
-        enforced inside :func:`~repro.parallel.train_parallel`).
     store / publish_every:
         serving-store hookup, forwarded to
         :func:`~repro.parallel.train_parallel`: each replayed task epoch
@@ -200,14 +193,6 @@ def run_seq_scenario(
     from repro.experiments.hyper import Node2VecParams
     from repro.parallel import train_parallel
     from repro.parallel.tasks import WalkTask
-
-    # the scenario's own default negative source is the online "decayed"
-    # (not the pipeline's "corpus"); it applies only when neither the kwarg
-    # nor the config names a source, so config precedence stays intact
-    if negative_source is None and (
-        config is None or config.negative_source is None
-    ):
-        negative_source = "decayed"
 
     check_positive("edges_per_event", edges_per_event, integer=True)
     hp = hyper or Node2VecParams()
@@ -245,25 +230,25 @@ def run_seq_scenario(
             state["n_events"] = task.epoch + 1
             yield task
 
+    # knobs left at None are not forwarded: the pipeline's defaults apply
+    knobs = dict(
+        n_workers=n_workers, chunk_size=chunk_size, prefetch=prefetch,
+        transport=transport, negative_power=negative_power,
+        snapshot_rebase_every=snapshot_rebase_every,
+    )
     result = train_parallel(
         split.initial,  # the t=0 snapshot: model sizing + source bootstrap
         dim=dim,
         model=model,
         hyper=hp,
         epochs=1,
-        n_workers=n_workers,
-        chunk_size=chunk_size,
-        prefetch=prefetch,
-        transport=transport,
         negative_source=negative_source,
-        negative_power=negative_power,
         exec_backend=exec_backend,
-        snapshot_rebase_every=snapshot_rebase_every,
-        config=config,
         store=store,
         publish_every=publish_every,
         tasks=replay_tasks,
         seed=train_seed,
+        **{name: value for name, value in knobs.items() if value is not None},
         **(model_kwargs or {}),
     )
 

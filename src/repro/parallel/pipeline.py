@@ -126,7 +126,6 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.config import PipelineConfig
 from repro.embedding.base import EmbeddingModel
 from repro.embedding.kernels import resolve_backend
 from repro.embedding.trainer import TrainingResult, WalkTrainer, make_model
@@ -682,23 +681,15 @@ class ParallelWalkGenerator:
                 ring.close()
                 ring.unlink()
 
-    def generate_timed(
-        self, starts: np.ndarray | None = None
-    ) -> Iterator[tuple[list[np.ndarray], float]]:
-        """Yield ``(walk_chunk, generation_seconds)`` for the static-corpus
-        task (``starts=None`` → the r-walks-per-node start list).  Shm
-        chunks are slot views with the lifetime contract of
-        :meth:`stream_timed`."""
-        tasks = None if starts is None else [WalkTask(starts=starts)]
-        for walks, gen_s, _ in self.stream_timed(tasks):
-            yield walks, gen_s
-
     def generate(self, starts: np.ndarray | None = None) -> Iterator[list[np.ndarray]]:
-        """Yield walk chunks in deterministic chunk order (timing stripped).
+        """Yield the static-corpus task's walk chunks in deterministic chunk
+        order, timing stripped (``starts=None`` → the r-walks-per-node start
+        list).
 
         Shm-transport chunks are views with the same lifetime contract as
         :meth:`stream_timed`."""
-        for walks, _ in self.generate_timed(starts):
+        tasks = None if starts is None else [WalkTask(starts=starts)]
+        for walks, _, _ in self.stream_timed(tasks):
             yield walks
 
     def all_walks(self, starts: np.ndarray | None = None) -> list[np.ndarray]:
@@ -735,15 +726,14 @@ def train_parallel(
     model: str | EmbeddingModel = "proposed",
     hyper: Node2VecParams | None = None,
     epochs: int = 1,
-    n_workers: int | None = None,
-    chunk_size: int | str | None = None,
+    n_workers: int = 0,
+    chunk_size: int | str = DEFAULT_CHUNK_SIZE,
     prefetch: int | None = None,
-    transport: str | None = None,
-    negative_source: str | NegativeSource | None = None,
-    negative_power: float | None = None,
+    transport: str = "shm",
+    negative_source: str | NegativeSource = "corpus",
+    negative_power: float = 0.75,
     exec_backend: str | None = None,
-    snapshot_rebase_every: int | None = None,
-    config: PipelineConfig | None = None,
+    snapshot_rebase_every: int = DEFAULT_REBASE_EVERY,
     store: Any | None = None,
     publish_every: int = 1,
     tasks: Iterable[WalkTask] | Callable[[], Iterable[WalkTask]] | None = None,
@@ -812,14 +802,9 @@ def train_parallel(
     snapshot in ``snapshot_rebase_every`` publishes in full and the rest
     ship as O(delta) edge payloads that workers patch into their cached
     CSR — bit-identical embeddings, O(delta) IPC per event.  ``1``
-    disables deltas; ``None`` (default) uses
+    disables deltas; the default is
     :data:`repro.parallel.snapshots.DEFAULT_REBASE_EVERY`.  No effect on
     delta-free streams, the static corpus, or the inline path.
-
-    ``config`` accepts a frozen :class:`repro.config.PipelineConfig`
-    bundling the execution knobs above; an explicitly passed kwarg
-    overrides the corresponding config field (a *conflicting* duplicate
-    warns ``DeprecationWarning``; equal duplicates are silent).
 
     ``store`` hooks the run up to the serving layer: pass a
     :data:`repro.store.STORE_REGISTRY` name or a live
@@ -841,35 +826,7 @@ def train_parallel(
     """
     from repro.experiments.hyper import Node2VecParams
 
-    knobs = (config or PipelineConfig()).merged(
-        n_workers=n_workers,
-        transport=transport,
-        chunk_size=chunk_size,
-        prefetch=prefetch,
-        exec_backend=exec_backend,
-        negative_source=negative_source,
-        negative_power=negative_power,
-        snapshot_rebase_every=snapshot_rebase_every,
-    )
-    n_workers = knobs["n_workers"] if knobs["n_workers"] is not None else 0
-    chunk_size = (
-        knobs["chunk_size"] if knobs["chunk_size"] is not None else DEFAULT_CHUNK_SIZE
-    )
-    prefetch = knobs["prefetch"]
-    transport = knobs["transport"] if knobs["transport"] is not None else "shm"
-    negative_source = (
-        knobs["negative_source"] if knobs["negative_source"] is not None else "corpus"
-    )
-    negative_power = (
-        knobs["negative_power"] if knobs["negative_power"] is not None else 0.75
-    )
-    exec_backend = knobs["exec_backend"]
-    rebase_every = (
-        knobs["snapshot_rebase_every"]
-        if knobs["snapshot_rebase_every"] is not None
-        else DEFAULT_REBASE_EVERY
-    )
-
+    check_positive("n_workers", n_workers, strict=False, integer=True)
     check_positive("epochs", epochs, integer=True)
     check_in_set("transport", transport, TRANSPORTS)
     source = resolve_source(negative_source)
@@ -934,13 +891,8 @@ def train_parallel(
             seed=epoch_seeds[epoch],
             prefetch=prefetch,
             transport=transport,
-            snapshot_rebase_every=rebase_every,
+            snapshot_rebase_every=snapshot_rebase_every,
         )
-
-    def _task_stream():
-        if tasks is None:
-            return None  # the generator's static corpus task
-        return tasks() if callable(tasks) else tasks
 
     # validate the backend/chunking combination BEFORE WalkTrainer records
     # the backend as the model preference — a rejected call must not leave
@@ -966,31 +918,11 @@ def train_parallel(
     t_total = time.perf_counter()
 
     seen_epochs: set[int] = set()
-    consumed_walks = [0]  # global counter pinning the virtual-chunk schedule
-    last_published = [None]  # dedup guard: a version publishes exactly once
-    last_task_epoch: list[int | None] = [None]
+    consumed = 0  # global walk counter pinning the virtual-chunk schedule
 
-    def _publish(version: int) -> None:
-        """Publish the model's current table as ``version`` (idempotent per
-        version).  Zero-copy: the table is read through ``embedding_view``
-        and only changed shards are written; a model without a view falls
-        back to ``.embedding`` and the copy is counted in the telemetry."""
-        if emb_store is None or last_published[0] == version:
-            return
-        t0 = time.perf_counter()
-        view = mdl.embedding_view()
-        full = view is None
-        stats = emb_store.publish(
-            version, mdl.embedding if full else view, full_copy=full
-        )
-        last_published[0] = version
-        tele.store_publishes += 1
-        tele.store_publish_s += time.perf_counter() - t0
-        tele.store_publish_bytes += stats.bytes_written
-        tele.store_full_copies += stats.full_table_copies
-
-    def _consume(gen: ParallelWalkGenerator, stream, on_chunk) -> None:
-        """Drain one generation pass, folding stall/generation times, the
+    def _chunks(gen: ParallelWalkGenerator) -> Iterator[tuple[list, int]]:
+        """Drain one generation pass over the run's walk tasks, yielding
+        ``(walks, task_epoch)`` and folding stall/generation times, the
         chunk count, snapshot accounting, transport and the buffering
         high-water mark into the telemetry.
 
@@ -1000,118 +932,116 @@ def train_parallel(
         epochs across the whole run."""
         pass_seen: set[int] = set()
         t_wait = time.perf_counter()
+        stream = tasks() if callable(tasks) else tasks  # None: the static corpus
         for walks, gen_s, epoch in gen.stream_timed(stream):
             stalled = time.perf_counter() - t_wait
             tele.wait_s += stalled
             if epoch not in pass_seen:
                 pass_seen.add(epoch)
                 tele.snapshot_stall_s += stalled
-                if epoch not in seen_epochs:
-                    seen_epochs.add(epoch)
-                    tele.n_snapshots = len(seen_epochs)
+                seen_epochs.add(epoch)
+                tele.n_snapshots = len(seen_epochs)
             tele.generation_s += gen_s
             tele.n_chunks += 1
-            on_chunk(walks, epoch)
+            yield walks, epoch
             t_wait = time.perf_counter()
-        tele.peak_buffered_walks = max(
-            tele.peak_buffered_walks, gen.last_stats.peak_in_flight
-        )
-        tele.ipc_walk_bytes += gen.last_stats.ipc_walk_bytes
-        tele.ipc_snapshot_bytes += gen.last_stats.snapshot_bytes
-        tele.ipc_snapshot_bytes_saved += gen.last_stats.snapshot_bytes_saved
-        tele.ipc_delta_bytes += gen.last_stats.delta_bytes
-        tele.delta_applies += gen.last_stats.delta_applies
-        tele.rebase_count += gen.last_stats.rebase_count
+        stats = gen.last_stats
+        tele.peak_buffered_walks = max(tele.peak_buffered_walks, stats.peak_in_flight)
+        tele.ipc_walk_bytes += stats.ipc_walk_bytes
+        tele.ipc_snapshot_bytes += stats.snapshot_bytes
+        tele.ipc_snapshot_bytes_saved += stats.snapshot_bytes_saved
+        tele.ipc_delta_bytes += stats.delta_bytes
+        tele.delta_applies += stats.delta_applies
+        tele.rebase_count += stats.rebase_count
         tele.transport = gen.effective_transport
 
-    def _train_chunk(walks: list, epoch: int | None = None) -> None:
-        """Train one consumed chunk, threading its walk frequencies back to
-        the source.  For a source with a virtual-chunk schedule the chunk
-        is split at canonical boundaries so the fold/rebuild points — and
-        therefore the sampler every walk trains against — are independent
-        of the physical chunking.
-
-        On the dynamic path (task streams) this is also the publish point:
-        the first chunk of a *new* task epoch proves the previous epoch's
-        training is complete (FIFO chunk order), so the previous epoch's
-        table publishes before the new epoch's first update lands."""
-        if emb_store is not None and tasks is not None and epoch is not None:
-            prev = last_task_epoch[0]
-            if prev is not None and epoch > prev and (prev + 1) % publish_every == 0:
-                _publish(prev)
-            last_task_epoch[0] = epoch if prev is None else max(prev, epoch)
-        if source.wants_frequencies:
-            segments = (
-                _virtual_segments(walks, source.virtual_chunk, consumed_walks[0])
-                if source.virtual_chunk
-                else (walks,)
-            )
-            for seg in segments:
-                t0 = time.perf_counter()
-                trainer.train_corpus(seg, source.sampler())
-                tele.train_s += time.perf_counter() - t0
-                consumed_walks[0] += len(seg)
+    def _train(walks: list) -> None:
+        """Train one consumed chunk, feeding each segment's walk
+        frequencies back to the source while it wants them.  A source with
+        a virtual-chunk schedule sees the chunk split at canonical
+        boundaries, so its fold/rebuild points — and therefore the sampler
+        every walk trains against — do not depend on the physical
+        chunking."""
+        nonlocal consumed
+        segments = (
+            _virtual_segments(walks, source.virtual_chunk, consumed)
+            if source.virtual_chunk
+            else (walks,)
+        )
+        for seg in segments:
+            t0 = time.perf_counter()
+            trainer.train_corpus(seg, source.sampler())
+            tele.train_s += time.perf_counter() - t0
+            consumed += len(seg)
+            if source.wants_frequencies:
                 tele.sampler_rebuilds += source.observe(
                     walk_frequencies(seg, graph.n_nodes), len(seg)
                 )
-        else:
-            t0 = time.perf_counter()
-            trainer.train_corpus(walks, source.sampler())
-            tele.train_s += time.perf_counter() - t0
-            consumed_walks[0] += len(walks)
 
-    def _count_chunk(walks: list, epoch: int | None = None) -> None:
-        source.observe(walk_frequencies(walks, graph.n_nodes), len(walks))
+    def _end_version(version: int, last: bool) -> None:
+        """Close model version ``version`` — a training epoch on the static
+        path, a task epoch on a task stream.  It publishes into the store
+        when ``(version + 1) % publish_every == 0``, and always when it is
+        the run's last version.  Zero-copy: the table is read through
+        ``embedding_view`` and only changed shards are written; a model
+        without a view falls back to ``.embedding`` and the copy is
+        counted in the telemetry."""
+        if emb_store is None or not (last or (version + 1) % publish_every == 0):
+            return
+        t0 = time.perf_counter()
+        view = mdl.embedding_view()
+        full = view is None
+        stats = emb_store.publish(
+            version, mdl.embedding if full else view, full_copy=full
+        )
+        tele.store_publishes += 1
+        tele.store_publish_s += time.perf_counter() - t0
+        tele.store_publish_bytes += stats.bytes_written
+        tele.store_full_copies += stats.full_table_copies
 
+    task_epoch: int | None = None  # the task epoch in training (task streams)
     for epoch in range(epochs):
         cs = controller.next_chunk_size() if controller else int(chunk_size)
         tele.chunk_sizes.append(cs)
         t_epoch = time.perf_counter()
         before = (tele.n_chunks, tele.generation_s, tele.wait_s, tele.train_s)
-        # corpus buffering / two_pass counting stall by construction (no
-        # training runs behind them), so their epochs carry no chunk-size
-        # signal and must not steer the controller
-        pending = source.pending_bootstrap
-        bootstrap_epoch = pending is not None
 
-        gen = _generator(epoch, cs)
-        if pending == "buffer":
-            # buffer-then-train: the paper's exact first-epoch semantics.
-            # shm chunks are slot views that die on slot reuse, so buffering
-            # (the one path that retains walks) must materialize them.
-            buffered: list = []
-
-            def _buffer_chunk(
-                walks: list, epoch: int | None = None, _buf=buffered, _gen=gen
-            ) -> None:
-                if _gen.effective_transport == "shm":
-                    _buf.extend(w.copy() for w in walks)
-                else:
-                    _buf.extend(walks)
-                _count_chunk(walks)
-
-            _consume(gen, _task_stream(), _buffer_chunk)
-            tele.peak_buffered_walks = max(tele.peak_buffered_walks, len(buffered))
+        # Bootstrap pass: observe the whole first epoch, then freeze the
+        # sampler.  "buffer" (corpus) keeps the walks and trains them in
+        # one call — the paper's exact first-epoch semantics; "count"
+        # (two_pass) discards them and regenerates the identical corpus
+        # (same seed) below.  Shm chunks are slot views that die on slot
+        # reuse, so kept walks must be materialized.
+        bootstrap = source.pending_bootstrap
+        kept: list | None = [] if bootstrap == "buffer" else None
+        if bootstrap is not None:
+            gen = _generator(epoch, cs)
+            for walks, _ in _chunks(gen):
+                if kept is not None:
+                    shm = gen.effective_transport == "shm"
+                    kept.extend(w.copy() if shm else w for w in walks)
+                source.observe(walk_frequencies(walks, graph.n_nodes), len(walks))
             source.finalize()
-            _train_chunk(buffered)
+
+        if kept is not None:
+            tele.peak_buffered_walks = max(tele.peak_buffered_walks, len(kept))
+            _train(kept)
         else:
-            if pending == "count":
-                # counting pass: same seed → the identical corpus, walks
-                # discarded right after counting
-                _consume(_generator(epoch, cs), _task_stream(), _count_chunk)
-                source.finalize()
-            _consume(gen, _task_stream(), _train_chunk)
+            for walks, chunk_epoch in _chunks(_generator(epoch, cs)):
+                # FIFO chunk order: the first chunk of a newer task epoch
+                # proves the previous one finished training, so that
+                # version closes before the new epoch's first update lands
+                if tasks is not None and (task_epoch is None or chunk_epoch > task_epoch):
+                    if task_epoch is not None:
+                        _end_version(task_epoch, last=False)
+                    task_epoch = chunk_epoch
+                _train(walks)
 
-        # static-path publishing: the training-epoch index is the version
-        # (task streams version by task epoch inside _train_chunk instead)
-        if (
-            emb_store is not None
-            and tasks is None
-            and ((epoch + 1) % publish_every == 0 or epoch == epochs - 1)
-        ):
-            _publish(epoch)
-
-        if controller is not None and not bootstrap_epoch:
+        if tasks is None:
+            _end_version(epoch, last=epoch == epochs - 1)
+        # a bootstrap pass stalls by construction (no training runs behind
+        # it), so its epoch carries no chunk-size signal for the controller
+        if controller is not None and bootstrap is None:
             controller.observe(
                 EpochStats(
                     chunk_size=cs,
@@ -1123,11 +1053,10 @@ def train_parallel(
                 )
             )
 
-    # dynamic-path final publish: the last task epoch has no successor to
-    # trigger its transition publish, so it always publishes here (also the
-    # sole publish of bootstrap-buffered task runs, which train all at once)
-    if emb_store is not None and tasks is not None and seen_epochs:
-        _publish(max(seen_epochs))
+    # a task stream's last epoch has no successor to close it (and a
+    # buffered run trains every epoch at once, so this is its only publish)
+    if tasks is not None and seen_epochs:
+        _end_version(max(seen_epochs), last=True)
 
     tele.total_s = time.perf_counter() - t_total
     tele.train_walks = trainer.n_walks

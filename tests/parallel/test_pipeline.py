@@ -77,14 +77,24 @@ class TestParallelWalkGenerator:
             ParallelWalkGenerator(graph, chunk_size=0)
         with pytest.raises((ValueError, TypeError)):
             ParallelWalkGenerator(graph, prefetch=0)
+        for bad in (
+            {"n_workers": -1},
+            {"n_workers": 1.5},
+            {"n_workers": True},
+            {"n_workers": "2"},
+            {"prefetch": 0},
+            {"snapshot_rebase_every": 0},
+        ):
+            with pytest.raises((ValueError, TypeError)):
+                train_parallel(graph, dim=8, hyper=HP, seed=0, **bad)
 
     def test_generate_timed_reports_positive_times(self, graph):
         gen = ParallelWalkGenerator(
             graph, WalkParams(length=8, walks_per_node=1), chunk_size=10, seed=0
         )
-        timed = list(gen.generate_timed())
-        assert sum(len(c) for c, _ in timed) == graph.n_nodes
-        assert all(dt > 0 for _, dt in timed)
+        timed = list(gen.stream_timed())
+        assert sum(len(c) for c, _, _ in timed) == graph.n_nodes
+        assert all(dt > 0 for _, dt, _ in timed)
 
 
 class TestTrainParallel:

@@ -446,12 +446,11 @@ class TestDynamicReplay:
         )
 
     def test_config_carries_rebase_knob(self, graph):
-        from repro.config import PipelineConfig
         from repro.dynamic import run_seq_scenario
 
         res = run_seq_scenario(
             graph, dim=8, hyper=HP, seed=3, edges_per_event=1, chunk_size=8,
-            config=PipelineConfig(n_workers=2, snapshot_rebase_every=4),
+            n_workers=2, snapshot_rebase_every=4,
         )
         assert res.extras["telemetry"].delta_applies > 0
         assert res.extras["telemetry"].rebase_count > 0

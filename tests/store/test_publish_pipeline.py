@@ -15,6 +15,7 @@ from repro.dynamic import run_seq_scenario
 from repro.experiments.hyper import Node2VecParams
 from repro.graph import ring_of_cliques
 from repro.parallel import train_parallel
+from repro.parallel.tasks import WalkTask
 from repro.store import STORE_BACKENDS, ShmEmbeddingStore, make_store
 
 HP = Node2VecParams(r=1, l=10, w=4, ns=2)
@@ -146,3 +147,50 @@ class TestDynamicPublish:
             assert tr.store.epochs() == (1, 3)
         finally:
             tr.store.close()
+
+
+def _task_stream(graph, n_epochs=5):
+    """A zero-argument task factory (``"two_pass"`` streams it twice): one
+    task per epoch on the base graph, three start nodes each."""
+    return lambda: [
+        WalkTask(starts=np.arange(3 * e, 3 * e + 3) % graph.n_nodes, epoch=e)
+        for e in range(n_epochs)
+    ]
+
+
+class TestPublishSchedule:
+    """The exact version list each path publishes: version v publishes when
+    (v + 1) % publish_every == 0, and the last version always publishes.
+    A buffered ``"corpus"`` task run trains everything in one pass after
+    the stream ends, so only its last task epoch is ever published."""
+
+    @pytest.mark.parametrize("publish_every", [1, 2])
+    @pytest.mark.parametrize("path", ["static", "tasks"])
+    @pytest.mark.parametrize("source", ["corpus", "two_pass", "degree", "decayed"])
+    def test_published_versions(self, graph, source, path, publish_every):
+        expected = {
+            ("static", 1): (0, 1, 2),
+            ("static", 2): (1, 2),
+            ("tasks", 1): (0, 1, 2, 3, 4),
+            ("tasks", 2): (1, 3, 4),
+        }[path, publish_every]
+        if path == "tasks" and source == "corpus":
+            expected = (4,)
+        # retain above the version count: the store keeps every publish
+        store = make_store("local", graph.n_nodes, 8, retain=8)
+        run = (
+            {"epochs": 3} if path == "static" else {"tasks": _task_stream(graph)}
+        )
+        try:
+            res = train_parallel(
+                graph, dim=8, hyper=HP, seed=0, negative_source=source,
+                store=store, publish_every=publish_every, **run,
+            )
+            assert store.epochs() == expected
+            assert res.telemetry.store_publishes == len(expected)
+            assert np.array_equal(
+                store.get(np.arange(graph.n_nodes), epoch=expected[-1]),
+                res.embedding,
+            )
+        finally:
+            store.close()

@@ -20,7 +20,7 @@ class TestPackage:
 
     def test_public_names(self):
         assert set(repro.__all__) >= {
-            "train_embedding", "quick_embedding", "serve_embedding", "PipelineConfig",
+            "train_embedding", "quick_embedding", "serve_embedding",
         }
 
     def test_store_backends_rendered_into_docs(self):
@@ -55,6 +55,12 @@ class TestTrainEmbedding:
         res = train_embedding(graph, dim=8, hyper=HP, seed=0)
         assert res.ops.mac > 0
         assert res.ops.walk == res.n_walks
+        # pipeline telemetry marks the route: negative_power alone stays
+        # sequential, any n_workers (even 0, inline) takes the pipeline
+        assert res.telemetry is None
+        seq = train_embedding(graph, dim=8, hyper=HP, seed=0, negative_power=0.5)
+        assert seq.telemetry is None
+        assert train_embedding(graph, dim=8, hyper=HP, seed=0, n_workers=0).telemetry
 
     def test_quick_embedding_matches_train(self, graph):
         a = quick_embedding(graph, dim=8, seed=4)
