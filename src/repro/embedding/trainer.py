@@ -23,6 +23,7 @@ from repro.graph.csr import CSRGraph
 from repro.hw.opcount import OpCount
 from repro.sampling.negative import NegativeSampler
 from repro.sampling.walks import Node2VecWalker
+from repro.utils.blas import limit_blas_threads
 from repro.utils.rng import as_generator, draw_seed
 from repro.utils.validation import check_in_set, check_positive
 
@@ -138,6 +139,11 @@ class WalkTrainer:
         self.n_walks = 0
         self.n_contexts = 0
         self.ops = OpCount()
+        # the chunk kernels' GEMMs are d wide; extra BLAS threads only spin
+        # on cores the walk workers need.  scipy.linalg is imported by now
+        # (the OS-ELM models' triangular solves), so its pool is covered too.
+        #: OpenBLAS threads this process trains with (0: no OpenBLAS loaded)
+        self.blas_threads = limit_blas_threads()
 
     def train_walk(self, walk: np.ndarray, sampler: NegativeSampler) -> int:
         """Partition one walk and train; returns the context count.

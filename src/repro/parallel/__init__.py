@@ -14,6 +14,7 @@ from repro.parallel.pipeline import (
     TRANSPORTS,
     ParallelWalkGenerator,
     PipelineTelemetry,
+    WorkerDiedError,
     train_parallel,
 )
 from repro.parallel.shm_ring import ShmWalkRing
@@ -33,5 +34,6 @@ __all__ = [
     "SnapshotStore",
     "TRANSPORTS",
     "WalkTask",
+    "WorkerDiedError",
     "train_parallel",
 ]

@@ -22,6 +22,8 @@ This module provides
 * :class:`PipelineTelemetry` — per-stage timing (generation / stall /
   train), transport, buffering, snapshot and sampler-rebuild telemetry,
   attached to the ``TrainingResult``.
+* :class:`WorkerDiedError` — what a run raises, instead of hanging, when a
+  walk worker process dies and its chunk can never arrive.
 
 Walk transport (``transport``)
 ------------------------------
@@ -158,6 +160,7 @@ __all__ = [
     "ParallelWalkGenerator",
     "PipelineTelemetry",
     "WalkTask",
+    "WorkerDiedError",
     "train_parallel",
 ]
 
@@ -171,6 +174,11 @@ TRANSPORTS = ("shm", "pickle")
 # walk index can ever collide with the start-list stream.
 _WALK_NS = 0
 _STARTS_NS = 1
+
+# How long the consumer waits on a chunk before it checks that no walk
+# worker has died: a lost chunk's result never arrives, so an unbounded
+# wait would hang the run.
+_LIVENESS_POLL_S = 0.2
 
 # Worker globals, populated by the pool initializer via fork/spawn.  Only
 # pool worker processes ever write these; the inline path passes state
@@ -243,6 +251,44 @@ def _walk_chunk_shm(job: tuple) -> tuple:
     if _WORKER_RING is not None and _WORKER_RING.write(slot, batch):
         return ("shm", slot, len(starts), time.perf_counter() - t0)
     return ("pickle", batch, time.perf_counter() - t0)
+
+
+class WorkerDiedError(RuntimeError):
+    """A walk worker process died (killed, out of memory, crashed), so the
+    chunk it held will never arrive and the run cannot finish.
+
+    ``[lo, hi)`` is the global-walk range of the chunk the consumer was
+    waiting for when it found the death: the dead worker's own chunk
+    whenever that worker held the oldest unfinished one.  ``exitcodes`` are
+    the dead workers' exit codes (a negative code is the killing signal).
+    """
+
+    def __init__(self, lo: int, hi: int, exitcodes: list[int | None]):
+        self.lo, self.hi, self.exitcodes = lo, hi, exitcodes
+        super().__init__(
+            f"walk worker(s) died with exit code(s) {exitcodes} while the run "
+            f"waited for the chunk of walks [{lo}, {hi}); a lost chunk never "
+            "arrives, so the run cannot finish"
+        )
+
+
+def _await_chunk(pool: Any, workers: list, fut: Any, lo: int, hi: int) -> tuple:
+    """``fut.get()`` that raises :class:`WorkerDiedError` instead of hanging
+    when a worker dies (``Pool`` never delivers a lost job's result).
+
+    ``workers`` are the pool's first processes.  ``Pool`` replaces a dead
+    worker and never retires a live one (no ``maxtasksperchild``), so one of
+    them missing from the pool's worker list (``Pool`` has no public one)
+    marks a death — and the first death is always one of them.
+    """
+    while True:
+        try:
+            return fut.get(timeout=_LIVENESS_POLL_S)
+        except mp.TimeoutError:
+            live = {p.pid for p in list(pool._pool)}  # copy: the pool edits it
+            dead = [p for p in workers if p.pid not in live]
+            if dead:
+                raise WorkerDiedError(lo, hi, [p.exitcode for p in dead]) from None
 
 
 class _FlowStats:
@@ -340,6 +386,11 @@ class PipelineTelemetry:
     publishes had to materialize a full-table copy because the model
     exposes no :meth:`~repro.embedding.base.EmbeddingModel.embedding_view`
     — 0 is the zero-copy contract the acceptance tests pin.
+
+    CPU budget: ``blas_threads`` is the OpenBLAS thread count the run
+    trained with — 1 once :func:`repro.utils.blas.limit_blas_threads` has
+    applied its limit, the user's own count when the environment sets one,
+    0 when no OpenBLAS is loaded.
     """
 
     negative_source: str
@@ -369,6 +420,7 @@ class PipelineTelemetry:
     store_publish_s: float = 0.0
     store_publish_bytes: int = 0
     store_full_copies: int = 0
+    blas_threads: int = 0
 
     @property
     def overlap_efficiency(self) -> float:
@@ -607,6 +659,7 @@ class ParallelWalkGenerator:
                 ),
             ) as pool:
                 pending: deque = deque()
+                workers = list(pool._pool)
                 free_slots: deque = deque(range(ring.n_slots)) if ring else deque()
 
                 def _submit_next() -> None:
@@ -624,17 +677,18 @@ class ParallelWalkGenerator:
                         if sid is not None
                         else None
                     )
+                    hi = lo + len(chunk_starts)
                     if ring is not None:
                         slot = free_slots.popleft()
                         pending.append(
-                            (slot, epoch, sid, pool.apply_async(
+                            (slot, epoch, sid, lo, hi, pool.apply_async(
                                 _walk_chunk_shm,
                                 ((slot, chunk_starts, lo, graph_ref),),
                             ))
                         )
                     else:
                         pending.append(
-                            (None, epoch, sid, pool.apply_async(
+                            (None, epoch, sid, lo, hi, pool.apply_async(
                                 _walk_chunk_pickle,
                                 ((chunk_starts, lo, graph_ref),),
                             ))
@@ -644,8 +698,8 @@ class ParallelWalkGenerator:
                     _submit_next()
                 # FIFO consumption of the submission order → deterministic
                 while pending:
-                    slot, epoch, sid, fut = pending.popleft()
-                    result = fut.get()
+                    slot, epoch, sid, lo, hi, fut = pending.popleft()
+                    result = _await_chunk(pool, workers, fut, lo, hi)
                     if sid is not None:
                         # FIFO: a result for sid proves every job of any
                         # lower sid completed → its segment can go
@@ -914,6 +968,7 @@ def train_parallel(
         # telemetry_name, not name: a degraded backend ("compiled" without
         # numba) reports what actually ran, e.g. "compiled[fallback=reference]"
         exec_backend=trainer.backend.telemetry_name,
+        blas_threads=trainer.blas_threads,
     )
     t_total = time.perf_counter()
 

@@ -1,5 +1,11 @@
 """Tests for repro.parallel.pipeline."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -142,3 +148,60 @@ class TestTrainParallel:
         )
         scores = evaluate_embedding(res.embedding, graph.node_labels, seed=0)
         assert scores.micro_f1 > 0.5
+
+
+# Kills the worker of every chunk after the first — os._exit(1) under the
+# shm transport, SIGKILL (as the OOM killer does) under pickle — a second
+# in, so the first chunk has long arrived when chunk 1 is lost — and prints,
+# per transport, the WorkerDiedError's walk range and exit codes, then the
+# shared-memory segments the runs left behind.
+DEAD_WORKER_SCRIPT = """
+import json, os, signal, time
+import repro.parallel.pipeline as pl
+from repro.experiments.hyper import Node2VecParams
+from repro.graph import ring_of_cliques
+from repro.parallel import WorkerDiedError, train_parallel
+
+real = pl._run_chunk
+def dying(graph, params, starts, seed, lo):
+    if lo > 0:
+        time.sleep(1)
+        if TRANSPORT == "shm":
+            os._exit(1)
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real(graph, params, starts, seed, lo)
+pl._run_chunk = dying
+
+shm_before = set(os.listdir("/dev/shm"))
+out = {}
+for TRANSPORT in ("shm", "pickle"):
+    try:
+        train_parallel(ring_of_cliques(4, 8, seed=0), dim=8,
+                       hyper=Node2VecParams(r=2, l=12, w=4, ns=3),
+                       n_workers=2, chunk_size=8, transport=TRANSPORT)
+    except WorkerDiedError as e:
+        out[TRANSPORT] = [e.lo, e.hi, sorted(set(e.exitcodes))]
+out["leaked"] = sorted(set(os.listdir("/dev/shm")) - shm_before)
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+class TestDeadWorker:
+    def test_dead_worker_raises_named_error(self):
+        """A dead walk worker fails the run with the lost chunk's walk range
+        instead of hanging it, and leaves no shared memory behind.  The run
+        is a subprocess under a timeout, so a regression fails, not hangs."""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run(
+            [sys.executable, "-c", DEAD_WORKER_SCRIPT],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        res = json.loads(out.stdout.strip().splitlines()[-1])
+        # chunk 0 = walks [0, 8) arrives; chunk 1's worker dies first
+        assert res["shm"] == [8, 16, [1]]
+        assert res["pickle"] == [8, 16, [-9]]
+        assert res["leaked"] == []
