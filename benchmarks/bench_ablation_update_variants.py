@@ -7,7 +7,10 @@ Three ways to train one walk's contexts:
 * ``dataflow``  — Algorithm 2: independent rank-1 updates vs walk-start
   state, summed (approximate, streams through the 4-stage pipeline);
 * ``block``     — exact rank-C block RLS per walk (exact deferred P, but
-  needs a 73×73 solve the pipeline cannot stream).
+  needs a dense solve the pipeline cannot stream).  It is ``batch_rls`` at
+  ``defer_span="walk"``: one information-form solve per walk (two d×d
+  assemblies over the walk plus d³-order factorizations) and one shared
+  negative batch per walk.
 
 This bench quantifies the triangle: accuracy (all three on the quick cora
 task), software cost (op counts), and pipelineability (which is the paper's
@@ -15,11 +18,7 @@ reason for choosing Algorithm 2).
 """
 
 from repro.dynamic import run_all_scenario
-from repro.embedding import (
-    BlockOSELMSkipGram,
-    DataflowOSELMSkipGram,
-    OSELMSkipGram,
-)
+from repro.embedding import MODEL_REGISTRY
 from repro.evaluation import evaluate_embedding
 from repro.experiments.hyper import Node2VecParams
 from repro.experiments.report import ExperimentReport
@@ -39,21 +38,18 @@ def test_update_variant_ablation(benchmark, emit_report, profile):
             "pipelineability",
             columns=["variant", "micro F1", "MACs/walk (d=32)", "pipelineable"],
         )
-        classes = {
-            "proposed": OSELMSkipGram,
-            "dataflow": DataflowOSELMSkipGram,
-            "block": BlockOSELMSkipGram,
-        }
         pipelineable = {"proposed": "no", "dataflow": "yes", "block": "no"}
         for name in VARIANTS:
             res = run_all_scenario(graph, model=name, dim=32, hyper=hyper, seed=1)
             f1 = evaluate_embedding(res.embedding, graph.node_labels, seed=0).micro_f1
-            macs = classes[name].op_profile(32, 73, 7, 10).mac
+            macs = MODEL_REGISTRY[name].op_profile(32, 73, 7, 10).mac
             report.add_row(name, f1, f"{macs/1e6:.2f}M", pipelineable[name])
             report.data[name] = {"f1": f1, "macs": macs}
         report.add_note(
             "Algorithm 2 gives up exactness for streamability; the block "
-            "variant shows exact deferral is possible but pays a C^3 solve"
+            "variant (batch_rls at defer_span=walk, one shared negative "
+            "batch per walk) shows exact deferral is possible but pays a "
+            "dense d x d solve per walk (~2*d^2*C + 2*d^3 MACs)"
         )
         return report
 
@@ -64,5 +60,5 @@ def test_update_variant_ablation(benchmark, emit_report, profile):
     f1s = [d[v]["f1"] for v in VARIANTS]
     assert min(f1s) > 0.6
     assert max(f1s) - min(f1s) < 0.15
-    # cost ordering: block pays the cubic solve
+    # cost ordering: block pays the dense per-walk solve
     assert d["block"]["macs"] > d["dataflow"]["macs"]

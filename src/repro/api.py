@@ -100,7 +100,8 @@ def train_embedding(
         ``"proposed"`` — OS-ELM skip-gram, Algorithm 1 (the paper's model);
         ``"dataflow"`` — Algorithm 2 semantics (per-walk deferred updates,
         what the FPGA executes);
-        ``"block"`` — exact per-walk block RLS (our stable deferred variant);
+        ``"block"`` — exact per-walk block RLS (our stable deferred
+        variant): ``"batch_rls"`` at its default ``defer_span="walk"``;
         ``"batch_rls"`` — span-deferred rank-k RLS with one shared negative
         batch per span; its ``defer_span`` model knob (``"walk"`` | int |
         ``"chunk"``) may legally cross walk boundaries under the
@@ -151,9 +152,7 @@ def train_embedding(
         restored from a checkpoint that says otherwise).  ``"fused"`` and
         ``"blocked"`` draw each chunk's negatives in one bulk pass, so
         their embedding is pinned to the chunk schedule (still bit-identical
-        across workers, prefetch and transports); ``"blocked"`` additionally
-        accepts sub-walk block sizes via a pre-constructed
-        ``BlockedKernel(block_contexts=...)`` instance.  ``"compiled"``
+        across workers, prefetch and transports).  ``"compiled"``
         needs the optional numba extra (``pip install .[perf]``) to
         actually JIT; without it the run falls back to the bit-identical
         ``"reference"`` path with a one-time :class:`RuntimeWarning`, and

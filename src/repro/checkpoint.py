@@ -12,11 +12,14 @@ The config block also records the model's preferred execution backend
 (:attr:`~repro.embedding.base.EmbeddingModel.exec_backend`), so a restored
 model resumes training through the same chunk kernel it was trained with —
 any :data:`~repro.embedding.kernels.EXEC_REGISTRY` name (``"reference"``,
-``"fused"``, ``"blocked"``) round-trips; checkpoints written before the
-kernel layer load as ``"reference"``.  Backend construction knobs (e.g.
-``BlockedKernel(block_contexts=...)``) are per-run configuration, not model
-state, and are deliberately not persisted — a restored ``"blocked"`` model
-trains with the default one-walk blocks unless the run says otherwise.
+``"fused"``, ``"blocked"``, ``"compiled"``) round-trips; checkpoints
+written before the kernel layer load as ``"reference"``.
+
+The ``kind`` field names the model class.  A ``"batch_rls"`` checkpoint
+also records its ``defer_span``.  The ``"block"`` model is ``"batch_rls"``
+at ``defer_span="walk"``, so it saves as ``"batch_rls"``; files of kind
+``"block"`` (written before the two merged) still load, as
+``defer_span="walk"``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import numpy as np
 
 from repro.embedding.base import EmbeddingModel
 from repro.embedding.batch_rls import BatchRLSSkipGram
-from repro.embedding.block import BlockOSELMSkipGram
 from repro.embedding.dataflow import DataflowOSELMSkipGram
 from repro.embedding.sequential import OSELMSkipGram
 from repro.embedding.skipgram import SkipGramSGD
@@ -39,9 +41,7 @@ _FORMAT_VERSION = 1
 
 def _config_of(model: EmbeddingModel) -> dict:
     if isinstance(model, OSELMSkipGram):  # covers the deferred subclasses
-        if isinstance(model, BlockOSELMSkipGram):
-            kind = "block"
-        elif isinstance(model, DataflowOSELMSkipGram):
+        if isinstance(model, DataflowOSELMSkipGram):
             kind = "dataflow"
         elif isinstance(model, BatchRLSSkipGram):
             kind = "batch_rls"
@@ -110,11 +110,13 @@ def load_model(path: str) -> EmbeddingModel:
             cls = {
                 "proposed": OSELMSkipGram,
                 "dataflow": DataflowOSELMSkipGram,
-                "block": BlockOSELMSkipGram,
+                "block": BatchRLSSkipGram,
                 "batch_rls": BatchRLSSkipGram,
             }[kind]
             extra = {}
-            if kind == "batch_rls":
+            if cls is BatchRLSSkipGram:
+                # "block" files predate the alias and carry no span: they
+                # are batch_rls at its default defer_span="walk"
                 extra["defer_span"] = cfg.get("defer_span", "walk")
             model = cls(
                 cfg["n_nodes"],

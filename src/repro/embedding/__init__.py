@@ -4,7 +4,6 @@ OS-ELM, and the paper's proposed OS-ELM skip-gram in both its sequential
 
 from repro.embedding.base import EmbeddingModel
 from repro.embedding.batch_rls import BatchRLSSkipGram
-from repro.embedding.block import BlockOSELMSkipGram
 from repro.embedding.dataflow import DataflowOSELMSkipGram
 from repro.embedding.kernels import (
     EXEC_BACKENDS,
@@ -31,7 +30,6 @@ __all__ = [
     "OSELM",
     "OSELMSkipGram",
     "DataflowOSELMSkipGram",
-    "BlockOSELMSkipGram",
     "BatchRLSSkipGram",
     "WalkTrainer",
     "TrainingResult",

@@ -1,22 +1,28 @@
-"""Chunk-deferred OS-ELM skip-gram: rank-k RLS spans that may cross walks.
+"""Span-deferred OS-ELM skip-gram: exact rank-k RLS over a deferral span.
 
-Every deferred variant so far stops at the walk boundary: Algorithm 2
-defers *within* a walk, :class:`~repro.embedding.block.BlockOSELMSkipGram`
-solves one exact rank-C block per walk, and the ``"blocked"`` execution
-backend rejects ``block_contexts`` spanning walks outright — because its
-contract is to reproduce per-walk Algorithm 1, a cross-walk block would
-change the model.  This class makes the cross-walk deferral *be* the model:
-within a configurable ``defer_span`` — ``"walk"``, an int number of
-contexts, or ``"chunk"`` (one span per staged block) — training is
+Algorithm 2 defers updates to the end of each walk by summing per-context
+rank-1 updates computed independently against the walk-start (P, β).  That
+sum overshoots when many contexts share directions (deflations compound
+linearly instead of geometrically), which destabilizes tiny dense graphs.
+The exact way to defer is one *block* (rank-k) RLS step over the span's
+stacked activations H ∈ R^{k×d} [6]: ``S = I_k + H P Hᵀ``,
+``K = P Hᵀ S⁻¹``, ``P ← P − K H P``, with every sample's error taken
+against the span-start β.  This class is that model.  Its ``defer_span``
+is ``"walk"`` (the default — the ``"block"`` registry name, per-walk
+deferral like Algorithm 2), an int number of contexts, or ``"chunk"`` (one
+span per staged block of the executing backend).  The ``"blocked"``
+execution backend keeps its blocks inside one walk, because its contract
+is to reproduce per-walk Algorithm 1; here a cross-walk span is the model
+itself.  Within a span, training is
 
 1. one ``µ·B[centers]`` hidden gather against the **span-start** ``B``
    (:meth:`~repro.embedding.sequential.OSELMSkipGram.hidden_batch`, into a
    reused span buffer);
 2. one rank-k covariance solve per span
    (:func:`repro.embedding.oselm.rank_k_update`): Woodbury for walk-sized
-   spans, the d×d *information* form for chunk-scale spans (``form="auto"``
-   — algebraically the same batch gain, O(k·d²) instead of O(k³), with
-   span-sized scratch reused across spans via ``work=``);
+   spans, the d×d *information* form once a span is wider than the hidden
+   layer (algebraically the same batch gain, O(k·d²) instead of O(k³),
+   with span-sized scratch reused across spans via ``work=``);
 3. every sample error computed against span-start ``B`` (positives one
    window column at a time, bounding the gather temporaries at ``(k, d)``),
    then one ``bincount`` accumulation pass per embedding dimension — and,
@@ -43,10 +49,13 @@ Degeneration contract (pinned by ``tests/embedding/test_batch_rls.py``)
   inherited scalar Algorithm 1 path and is **bit-identical** to
   ``"proposed"`` (the golden baseline), negative stream included (span
   sharing degenerates to the per-context draw policy).
-* ``defer_span="walk"`` — one span per walk: the exact per-walk block-RLS
-  semantics of :class:`~repro.embedding.block.BlockOSELMSkipGram`, agreeing
-  to float headroom (``BATCH_RLS_EXACT_RTOL`` — the two solve forms
-  reassociate the same algebra).
+* ``defer_span="walk"`` — one span per walk: exact per-walk block RLS.
+  ``P`` is exactly ``(P₀⁻¹ + HᵀH)⁻¹`` and stays positive definite on the
+  clique streams where Algorithm 2 diverges
+  (``tests/embedding/test_block.py``).  The k×k solve is fine in software
+  but is a dense matrix inversion the FPGA's 4-stage pipeline cannot
+  stream, which is *why* the paper chose the independent-rank-1
+  approximation.
 * Larger spans trade staleness for throughput: hidden rows and errors go
   stale by ``O(µ²·k)`` per span (the ``"blocked"`` kernel's error analysis,
   at span scale), bounded by ``BATCH_RLS_RTOL`` vs the ``"walk"``
@@ -54,10 +63,10 @@ Degeneration contract (pinned by ``tests/embedding/test_batch_rls.py``)
   ``benchmarks/bench_batch_rls_accuracy.py`` (Fig-5-style: link-prediction
   AUC vs ``defer_span``, ≤2% degradation at ``"chunk"``).
 
-This completes the design space the block model's docstring lays out:
-Algorithm 1 (sequential, exact, unpipelineable) — block RLS (per-walk
-deferred, exact, unpipelineable) — Algorithm 2 (per-walk deferred,
-approximate, pipelineable) — batch_rls (span-deferred, rank-k exact in the
+This completes the design space: Algorithm 1 (sequential, exact,
+unpipelineable) — block RLS (``defer_span="walk"``: per-walk deferred,
+exact, unpipelineable) — Algorithm 2 (per-walk deferred, approximate,
+pipelineable) — cross-walk spans (span-deferred, rank-k exact in the
 covariance, pipelineable at chunk width): the raw-speed ceiling for the
 OS-ELM family and the shape a torch/GPU backend would consume.
 """
@@ -262,8 +271,8 @@ class BatchRLSSkipGram(OSELMSkipGram):
         ``negatives`` (k, ns) — all trained against the span-start state.
 
         The three stages of the module docstring: span-start hidden gather
-        (reused buffer), one rank-k ``rank_k_update`` (``form="auto"`` —
-        information form once k > d), and one weighted scatter of all
+        (reused buffer), one rank-k ``rank_k_update`` (information form
+        once k > d), and one weighted scatter of all
         ``(1+ns)·J·k`` sample updates (each negative trains once per
         window — weight ``J`` — as everywhere else in the family).  When
         every context of the span carries the same negative row (the
@@ -285,9 +294,7 @@ class BatchRLSSkipGram(OSELMSkipGram):
         lam = self.forgetting_factor
 
         H = self.hidden_batch(centers, out=self._span_H)  # (k, d), span-start
-        K = rank_k_update(
-            self.P, H, lam=lam, gain="batch", form="auto", work=self._rls_work
-        )  # (d, k)
+        K = rank_k_update(self.P, H, lam=lam, gain="batch", work=self._rls_work)
 
         # positive errors against span-start B, one window column at a time
         # (bounds the gather temporaries at (k, d))

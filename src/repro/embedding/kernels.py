@@ -39,8 +39,7 @@ Backends
       sample/target assembly is one chunk-level ``concatenate``/``tile``)
       out of the loop.  Given the same negatives this is **bit-identical**
       to the reference batched duplicate policy.
-    * :class:`~repro.embedding.dataflow.DataflowOSELMSkipGram` /
-      :class:`~repro.embedding.block.BlockOSELMSkipGram` — already
+    * :class:`~repro.embedding.dataflow.DataflowOSELMSkipGram` — already
       walk-vectorized; the fused win is the bulk negative draw and the
       up-front context extraction.  Bit-identical given the same negatives.
 
@@ -49,8 +48,8 @@ Backends
     plain :class:`~repro.embedding.sequential.OSELMSkipGram` chunk — the
     paper's *proposed* model, the one workload ``"fused"`` could only lift
     ~1.3× because Algorithm 1's per-context RLS recursion executes one tiny
-    matvec at a time — runs in rank-k blocks (``block_contexts`` per solve,
-    default one walk per block; blocks never cross a walk boundary):
+    matvec at a time — runs in rank-k blocks, one block per walk (blocks
+    never cross a walk boundary):
 
     1. one ``µ·B[centers]`` gather of the block's hidden rows against the
        block-start ``B`` (:meth:`~repro.embedding.sequential.OSELMSkipGram.hidden_batch`);
@@ -89,9 +88,10 @@ Backends
           **exact in exact arithmetic**: sequential gains (step 3) +
           unchanged errors; only floating-point reassociation of the
           linear algebra remains (pinned at ``BLOCKED_EXACT_RTOL``);
-        * at ``block_contexts=1`` every staleness term vanishes for *all*
+        * with one-context blocks every staleness term vanishes for *all*
           tyings — the solve degenerates to the scalar recursion — which
-          the tests use to pin the analysis itself.
+          the tests use to pin the analysis itself (sub-walk blocks through
+          the private ``_train_oselm_blocked(..., block_contexts)``).
 
         Sliding windows overlap, so real walks always carry cross-context
         duplicates; at the paper's µ = 0.01 the compounded drift over a
@@ -102,12 +102,12 @@ Backends
 
     ``denominator="paper"`` has no block form (the literal line 5 deflates
     the gain denominator to ``hph``, which the SPD solve does not model) —
-    those models fall back to the fused per-context kernel, as do the
-    deferred dataflow/block models (already walk-vectorized) and
-    ``SkipGramSGD`` (no RLS recursion to block).  With ``forgetting_factor
-    < 1`` the ``1/λ`` rescaling applies once per block rather than once
-    per context (the same per-walk treatment
-    :class:`~repro.embedding.block.BlockOSELMSkipGram` documents).
+    those models fall back to the fused per-context kernel, as does
+    ``SkipGramSGD`` (no RLS recursion to block); the deferred dataflow and
+    ``batch_rls`` models train through their own walk-vectorized updates.
+    With ``forgetting_factor < 1`` the ``1/λ`` rescaling applies once per
+    block rather than once per context (the same per-span treatment
+    :class:`~repro.embedding.batch_rls.BatchRLSSkipGram` documents).
 
     A model may also *own* deferred semantics rather than borrow them from
     the backend: :class:`~repro.embedding.batch_rls.BatchRLSSkipGram`
@@ -162,7 +162,7 @@ kernel arithmetic is compared under *shared* pre-drawn negatives (exact or
 ``FUSED_RTOL``-close per model), and the golden regressions stay pinned to
 ``"reference"``.  ``tests/embedding/test_blocked.py`` pins the blocked
 contract the same way (``BLOCKED_RTOL`` property tests, the alpha-tied
-duplicate-free exactness, and the ``block_contexts=1`` degeneration).
+duplicate-free exactness, and the one-context-block degeneration).
 
 Registry
 --------
@@ -187,7 +187,6 @@ import numpy as np
 
 from repro.embedding import compiled as _compiled
 from repro.embedding.batch_rls import BatchRLSSkipGram
-from repro.embedding.block import BlockOSELMSkipGram
 from repro.embedding.dataflow import DataflowOSELMSkipGram
 from repro.embedding.oselm import rank_k_update
 from repro.embedding.sequential import _EPS, OSELMSkipGram
@@ -195,7 +194,7 @@ from repro.embedding.skipgram import SkipGramSGD, _sigmoid
 from repro.hw.opcount import OpCount
 from repro.sampling.corpus import WalkContexts, contexts_from_walk
 from repro.sampling.negative import NegativeSampler
-from repro.utils.validation import check_in_set, check_positive
+from repro.utils.validation import check_in_set
 
 if TYPE_CHECKING:  # annotation-only: EmbeddingModel lives upstream of us
     from collections.abc import Iterable, Iterator
@@ -203,7 +202,6 @@ if TYPE_CHECKING:  # annotation-only: EmbeddingModel lives upstream of us
     from repro.embedding.base import EmbeddingModel
 
 __all__ = [
-    "BATCH_RLS_EXACT_RTOL",
     "BATCH_RLS_RTOL",
     "BLOCKED_EXACT_RTOL",
     "BLOCKED_RTOL",
@@ -254,8 +252,8 @@ BLOCKED_RTOL: dict[str, float] = {
 }
 
 #: Floating-point headroom for the cases ``"blocked"`` reproduces *exactly
-#: in exact arithmetic* (alpha-tied duplicate-free blocks; any tying at
-#: ``block_contexts=1``): the Cholesky/GEMM reassociation leaves only
+#: in exact arithmetic* (alpha-tied duplicate-free blocks; any tying with
+#: one-context blocks): the Cholesky/GEMM reassociation leaves only
 #: eps-level residue, far below any model tolerance.
 BLOCKED_EXACT_RTOL = 1e-9
 
@@ -270,18 +268,10 @@ BLOCKED_EXACT_RTOL = 1e-9
 #: ``defer_span="chunk"``).
 BATCH_RLS_RTOL = 1e-1
 
-#: Floating-point headroom for the ``defer_span="walk"`` ≡
-#: :class:`~repro.embedding.block.BlockOSELMSkipGram` equivalence: the two
-#: paths solve the same per-walk block-RLS algebra through different
-#: factorizations (information vs Woodbury form, bincount-GEMM vs
-#: ``np.add.at`` scatter), leaving only reassociation residue.
-BATCH_RLS_EXACT_RTOL = 1e-8
-
 
 def cross_walk_span_error(defer_span: object, backend: object = None) -> str:
     """The rejection message for a cross-walk ``defer_span`` meeting a
-    walk-feeding consumer, rendered from the registry docs (the same UX as
-    ``BlockedKernel``'s cross-walk ``block_contexts`` rejection).
+    walk-feeding consumer, rendered from the registry docs.
 
     ``backend`` may be a registry name, an :class:`ExecBackend` instance,
     or ``None`` (a direct per-walk ``train_walk()`` caller).
@@ -307,12 +297,12 @@ def cross_walk_span_error(defer_span: object, backend: object = None) -> str:
 
 def default_negative_reuse(model: EmbeddingModel) -> str:
     """The model-dependent default negative-reuse policy: the dataflow model
-    follows the FPGA's one-batch-per-walk policy [18]; ``batch_rls`` shares
-    one batch per deferred span (``"per_walk"`` — the span is its reuse
-    unit — except at ``defer_span=1``, where span sharing *is* the
-    per-context policy and the bit-identity with ``"proposed"`` goldens
-    extends to the negative stream); everything else the CPU Algorithm 1
-    per-context policy."""
+    follows the FPGA's one-batch-per-walk policy [18]; ``batch_rls`` (and
+    its ``"block"`` alias) shares one batch per deferred span
+    (``"per_walk"`` — the span is its reuse unit — except at
+    ``defer_span=1``, where span sharing *is* the per-context policy and
+    the bit-identity with ``"proposed"`` goldens extends to the negative
+    stream); everything else the CPU Algorithm 1 per-context policy."""
     if isinstance(model, BatchRLSSkipGram):
         return "per_context" if model.defer_span == 1 else "per_walk"
     return "per_walk" if isinstance(model, DataflowOSELMSkipGram) else "per_context"
@@ -598,16 +588,12 @@ class FusedKernel(ExecBackend):
     ) -> None:
         # subclass checks first: the deferred models are OSELMSkipGram
         # subclasses and are already walk-vectorized
-        if isinstance(model, BatchRLSSkipGram):
-            if model.defer_crosses_walks:
-                _train_batch_rls_spans(model, contexts, negatives)
-            else:
-                # "walk"/1 spans clip at walk boundaries, where the model's
-                # own train_walk IS the span — the same calls the reference
-                # backend makes, hence FUSED_RTOL["batch_rls"] = 0.0
-                for ctx, negs in zip(contexts, negatives, strict=True):
-                    model.train_walk(ctx, negs)
-        elif isinstance(model, (DataflowOSELMSkipGram, BlockOSELMSkipGram)):
+        if isinstance(model, BatchRLSSkipGram) and model.defer_crosses_walks:
+            _train_batch_rls_spans(model, contexts, negatives)
+        elif isinstance(model, (BatchRLSSkipGram, DataflowOSELMSkipGram)):
+            # batch_rls "walk"/1 spans clip at walk boundaries, where the
+            # model's own train_walk IS the span — the same calls the
+            # reference backend makes, hence FUSED_RTOL["batch_rls"] = 0.0
             for ctx, negs in zip(contexts, negatives, strict=True):
                 model.train_walk(ctx, negs)
         elif isinstance(model, OSELMSkipGram):
@@ -748,17 +734,11 @@ class BlockedKernel(FusedKernel):
     draws (see module docstring for the block algorithm and the
     ``BLOCKED_RTOL`` error analysis).
 
-    Parameters
-    ----------
-    block_contexts:
-        contexts per Woodbury block solve: ``"walk"`` (default — one block
-        spans the whole walk, the paper's Algorithm 2 deferral boundary) or
-        a positive int (sub-walk blocks; smaller blocks read fresher
-        ``B``, shrinking the documented drift toward zero at 1).  Blocks
-        are always clipped at walk boundaries — Algorithm 1's recursion,
-        the negative batch and the walk-start gather are all per-walk, so
-        a cross-walk block would change the *model*, not the arithmetic;
-        values asking for one (e.g. ``"chunk"``) are rejected up front.
+    A block is always one walk — the paper's Algorithm 2 deferral
+    boundary.  Algorithm 1's recursion, the negative batch and the
+    walk-start gather are all per-walk, so a cross-walk block would change
+    the *model*, not the arithmetic; cross-walk deferral is the
+    ``batch_rls`` model's ``defer_span``.
     """
 
     name = "blocked"
@@ -768,15 +748,6 @@ class BlockedKernel(FusedKernel):
         "documented O(mu^2*k) staleness vs reference)"
     )
 
-    def __init__(self, block_contexts: int | str = "walk"):
-        if isinstance(block_contexts, str):
-            if block_contexts != "walk":
-                raise ValueError(_cross_walk_block_error(block_contexts))
-        else:
-            check_positive("block_contexts", block_contexts, integer=True)
-            block_contexts = int(block_contexts)
-        self.block_contexts = block_contexts
-
     def _train_oselm(
         self, model: OSELMSkipGram, ctx: WalkContexts, negatives: np.ndarray
     ) -> None:
@@ -785,37 +756,20 @@ class BlockedKernel(FusedKernel):
             # form — keep the per-context fused kernel for those models
             _train_oselm_fused(model, ctx, negatives)
             return
-        _train_oselm_blocked(model, ctx, negatives, self.block_contexts)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(block_contexts={self.block_contexts!r})"
-
-
-def _cross_walk_block_error(spec: object) -> str:
-    """The rejection message for block specs that would cross walk
-    boundaries, rendered from the registry docs (the same UX as the
-    pipeline's fused × ``chunk_size="auto"`` rejection)."""
-    return (
-        f"block_contexts={spec!r} would block the RLS recursion across walk "
-        f'boundaries, but exec_backend="{BlockedKernel.name}" '
-        f"({BlockedKernel.summary}) defines its blocks within one walk: "
-        "Algorithm 1's recursion, the negative batch and the walk-start "
-        "hidden gather are all per-walk, so a cross-walk block would change "
-        'the model rather than the arithmetic.  Use "walk" (the default, '
-        "one block per walk) or a positive int of contexts per block "
-        "(clipped at each walk boundary)."
-    )
+        _train_oselm_blocked(model, ctx, negatives)
 
 
 def _train_oselm_blocked(
     model: OSELMSkipGram,
     ctx: WalkContexts,
     negatives: np.ndarray,
-    block_contexts: int | str,
+    block_contexts: int | None = None,
 ) -> None:
     """One walk of Algorithm 1 executed in rank-k RLS blocks.
 
-    Per block (≤ ``block_contexts`` contexts, never crossing the walk):
+    Per block (≤ ``block_contexts`` contexts, never crossing the walk;
+    ``None`` — what :class:`BlockedKernel` runs — makes the whole walk one
+    block, and the tests use smaller blocks to pin the error analysis):
     gather the hidden rows against block-start ``B``, run one shared
     Woodbury solve (:func:`repro.embedding.oselm.rank_k_update`) with
     *sequential* gains, compute every sample error against block-start
@@ -836,7 +790,7 @@ def _train_oselm_blocked(
     )
     B, P = model.B, model.P
     lam = model.forgetting_factor
-    step = C if block_contexts == "walk" else int(block_contexts)
+    step = C if block_contexts is None else block_contexts
     for lo in range(0, C, step):
         hi = min(lo + step, C)
         k = hi - lo
@@ -956,7 +910,7 @@ class CompiledKernel(ReferenceKernel):
         # reaches here only at defer_span="walk"/1 (train_chunk rejects
         # cross-walk spans for walk-feeding backends), where its train_walk
         # is the reference arithmetic verbatim — bit-identity preserved.
-        if isinstance(model, (BatchRLSSkipGram, DataflowOSELMSkipGram, BlockOSELMSkipGram)):
+        if isinstance(model, (BatchRLSSkipGram, DataflowOSELMSkipGram)):
             for ctx, negs in zip(contexts, negatives, strict=True):
                 model.train_walk(ctx, negs)
         elif isinstance(model, OSELMSkipGram):
@@ -1026,7 +980,7 @@ def resolve_backend(spec: str | ExecBackend) -> ExecBackend:
     """Normalize an ``exec_backend`` argument: a registry name becomes a
     fresh instance with default knobs; an already-constructed
     :class:`ExecBackend` is used as-is (backends carry construction-time
-    configuration only — e.g. ``BlockedKernel(block_contexts=8)`` — never
+    configuration only — e.g. ``CompiledKernel(mode="python")`` — never
     per-run state, so instances are safely reusable)."""
     if isinstance(spec, ExecBackend):
         return spec

@@ -14,15 +14,18 @@ The sequential solution equals the batch ridge-regression solution
 test suite verifies (this is why OS-ELM avoids catastrophic forgetting: every
 update is exact w.r.t. *all* data seen so far, not a gradient step).
 
-:func:`rank_k_update` is the shared Woodbury block step behind both the
-mini-batch :meth:`OSELM.partial_fit` path and the ``"blocked"`` execution
-backend (:mod:`repro.embedding.kernels`): one Cholesky factorization of the
-k×k ``S = λI + H P Hᵀ``, the covariance update applied in square-root form
-(``P − XᵀX`` stays symmetric positive semi-definite by construction), and a
-gain matrix in either the *batch* form ``K = P Hᵀ S⁻¹`` or the *sequential*
-form whose column *i* equals the gain the rank-1 recursion would have
-produced at step *i* — the identity the blocked kernel's exactness contract
-rests on.
+:func:`rank_k_update` is the one rank-k block step behind the mini-batch
+:meth:`OSELM.partial_fit` path, the ``"blocked"`` execution backend
+(:mod:`repro.embedding.kernels`) and the span-deferred
+:class:`~repro.embedding.batch_rls.BatchRLSSkipGram`.  For walk-sized
+blocks it is one Cholesky factorization of the k×k ``S = λI + H P Hᵀ``
+with the covariance update applied in square-root form (``P − XᵀX`` stays
+symmetric positive semi-definite by construction), and a gain matrix in
+either the *batch* form ``K = P Hᵀ S⁻¹`` or the *sequential* form whose
+column *i* equals the gain the rank-1 recursion would have produced at
+step *i* — the identity the blocked kernel's exactness contract rests on.
+Batch-gain blocks wider than the hidden layer take the equivalent d×d
+information form instead.
 """
 
 from __future__ import annotations
@@ -76,21 +79,20 @@ def _work_eye(work: dict | None, d: int) -> np.ndarray:
 
 
 def rank_k_update(P: np.ndarray, H: np.ndarray, *, lam: float = 1.0,
-                  gain: str = "batch", form: str = "woodbury",
-                  work: dict | None = None) -> np.ndarray:
+                  gain: str = "batch", work: dict | None = None) -> np.ndarray:
     """One rank-k RLS covariance update, in place; returns the (d, k) gain.
 
-    The default (``form="woodbury"``) factorizes ``S = λ·I_k + H P Hᵀ``
-    (SPD for ``λ > 0``, ``P ⪰ 0``) by Cholesky ``S = L Lᵀ`` and applies the
-    Woodbury downdate in square-root form — ``X = L⁻¹ H P``,
-    ``P ← (P − Xᵀ X)/λ`` — which needs no explicit inverse (two triangular
-    solves replace ``inv(S)``) and keeps ``P`` symmetric by construction.
+    The solve form follows from the inputs: the d×d information form
+    (:func:`_rank_k_information`) when ``gain="batch"`` and k > d — the
+    crossover where the d×d route wins — and otherwise the k×k Woodbury
+    form (:func:`_rank_k_woodbury`).  Both compute the same update; only
+    floating-point reassociation differs.
 
     gain:
-        ``"batch"`` — ``K = P Hᵀ S⁻¹`` (with the *pre-update* ``P``): the
-        OS-ELM mini-batch gain of [6], exact when every output sees all k
-        targets, i.e. the full ``β += K (T − H β)`` update of
-        :meth:`OSELM.partial_fit`.
+        ``"batch"`` — ``K = P Hᵀ S⁻¹`` with ``S = λ·I_k + H P Hᵀ`` (and the
+        *pre-update* ``P``): the OS-ELM mini-batch gain of [6], exact when
+        every output sees all k targets, i.e. the full ``β += K (T − H β)``
+        update of :meth:`OSELM.partial_fit`.
 
         ``"sequential"`` — column *i* equals the gain ``k_i`` the rank-1
         recursion (Algorithm 1 lines 3–7) would have produced at step *i*.
@@ -99,24 +101,9 @@ def rank_k_update(P: np.ndarray, H: np.ndarray, *, lam: float = 1.0,
         gain to *scatter* with when each output column sees only its own
         step's target (the skip-gram per-sample update of the ``"blocked"``
         kernel): the batch ``K`` would couple steps through ``S⁻¹``'s
-        off-diagonal and break the sequential equivalence.
-
-    form:
-        ``"woodbury"`` (default) — the k×k factorization above: O(k³ + k·d²),
-        the right tool while blocks stay walk-sized (k ≲ d).
-
-        ``"information"`` — the dual d×d *information* (inverse-covariance)
-        form: ``P ← (λ·P⁻¹ + Hᵀ H)⁻¹`` via two d×d Choleskys, returning the
-        batch gain through the identity ``P_pre Hᵀ S⁻¹ = P_post Hᵀ`` (expand
-        ``P_post`` by Woodbury to see it).  O(k·d² + d³) with **no** k×k
-        matrix — the only tractable route for the chunk-scale spans of
-        :class:`~repro.embedding.batch_rls.BatchRLSSkipGram` (k ≫ d, where
-        ``S`` alone would be k² floats).  Requires ``gain="batch"``
-        (sequential gains live in the Woodbury factor's diagonal) and a
-        strictly positive-definite ``P``.
-
-        ``"auto"`` — ``"information"`` iff ``gain="batch"`` and k > d, else
-        ``"woodbury"``; the crossover where the d×d route wins.
+        off-diagonal and break the sequential equivalence.  Sequential
+        gains live in the Woodbury factor's diagonal, so they always take
+        the Woodbury form.
 
     work:
         optional dict of named scratch buffers reused across calls
@@ -129,18 +116,23 @@ def rank_k_update(P: np.ndarray, H: np.ndarray, *, lam: float = 1.0,
     once per block — callers that need per-step forgetting must use k = 1.
     """
     check_in_set("gain", gain, ("batch", "sequential"))
-    check_in_set("form", form, ("woodbury", "information", "auto"))
-    k, d = H.shape
-    if form == "auto":
-        form = "information" if (gain == "batch" and k > d) else "woodbury"
-    if form == "information":
-        if gain != "batch":
-            raise ValueError(
-                'form="information" computes only the batch gain '
-                "K = P_post Hᵀ; sequential gains need the Woodbury "
-                'factorization — use form="woodbury"'
-            )
+    if gain == "batch" and H.shape[0] > H.shape[1]:
         return _rank_k_information(P, H, lam, work)
+    return _rank_k_woodbury(P, H, lam, gain, work)
+
+
+def _rank_k_woodbury(P: np.ndarray, H: np.ndarray, lam: float, gain: str,
+                     work: dict | None) -> np.ndarray:
+    """The Woodbury rank-k step (see :func:`rank_k_update`).
+
+    Factorizes ``S = λ·I_k + H P Hᵀ`` (SPD for ``λ > 0``, ``P ⪰ 0``) by
+    Cholesky ``S = L Lᵀ`` and applies the downdate in square-root form —
+    ``X = L⁻¹ H P``, ``P ← (P − Xᵀ X)/λ`` — which needs no explicit inverse
+    (two triangular solves replace ``inv(S)``) and keeps ``P`` symmetric by
+    construction.  O(k³ + k·d²): the right tool while blocks stay
+    walk-sized (k ≲ d).
+    """
+    k, d = H.shape
     G = _work_buf(work, "G", (d, k))
     np.matmul(P, H.T, out=G)                        # (d, k)
     S = _work_buf(work, "S", (k, k))
@@ -161,6 +153,13 @@ def rank_k_update(P: np.ndarray, H: np.ndarray, *, lam: float = 1.0,
 def _rank_k_information(P: np.ndarray, H: np.ndarray, lam: float,
                         work: dict | None) -> np.ndarray:
     """The information-form rank-k step (see :func:`rank_k_update`).
+
+    ``P ← (λ·P⁻¹ + Hᵀ H)⁻¹`` via two d×d Choleskys, returning the batch
+    gain through the identity ``P_pre Hᵀ S⁻¹ = P_post Hᵀ`` (expand
+    ``P_post`` by Woodbury to see it).  O(k·d² + d³) with **no** k×k
+    matrix — the only tractable route for the chunk-scale spans of
+    :class:`~repro.embedding.batch_rls.BatchRLSSkipGram` (k ≫ d, where
+    ``S`` alone would be k² floats).
 
     ``A = λ·P⁻¹ + Hᵀ H`` assembles from one Cholesky of ``P`` (so ``P``
     must be strictly PD — true by construction here: every update writes
@@ -299,8 +298,9 @@ class OSELM:
             np.multiply.outer(kgain, T[0] - h @ self.beta, out=self._scratch_beta)
             self.beta += self._scratch_beta
         else:
-            # rank-k Woodbury block step: Cholesky + triangular solves (no
-            # explicit inv(S)), square-root P downdate (symmetry preserved)
+            # rank-k block step: Cholesky + triangular solves (no explicit
+            # inverse), P symmetric by construction; batches wider than
+            # n_hidden take the d×d information form
             K = rank_k_update(self.P, H, gain="batch")
             self.beta += K @ (T - H @ self.beta)
         self.n_seen += k

@@ -180,7 +180,7 @@ class OSELMSkipGram(EmbeddingModel):
 
         This is the walk-start (or block-start) hidden gather shared by the
         deferred models (:class:`~repro.embedding.dataflow.DataflowOSELMSkipGram`,
-        :class:`~repro.embedding.block.BlockOSELMSkipGram`) and the
+        :class:`~repro.embedding.batch_rls.BatchRLSSkipGram`) and the
         ``"blocked"`` execution kernel: under ``"beta"`` tying the rows go
         stale as ``B`` is updated behind them (the documented drift source),
         under ``"alpha"`` tying they are exact (α is fixed).

@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.embedding.base import EmbeddingModel
 from repro.embedding.batch_rls import BatchRLSSkipGram
-from repro.embedding.block import BlockOSELMSkipGram
 from repro.embedding.dataflow import DataflowOSELMSkipGram
 from repro.embedding.kernels import EXEC_REGISTRY, default_negative_reuse, resolve_backend
 from repro.embedding.sequential import OSELMSkipGram
@@ -29,11 +28,14 @@ from repro.utils.validation import check_in_set, check_positive
 
 __all__ = ["TrainingResult", "WalkTrainer", "make_model", "train_on_graph"]
 
+#: Model names → classes.  ``"block"`` (exact per-walk block RLS) is
+#: ``"batch_rls"`` at its default ``defer_span="walk"``: one rank-C solve
+#: per walk against the walk-start state, one shared negative batch per walk.
 MODEL_REGISTRY = {
     "original": SkipGramSGD,
     "proposed": OSELMSkipGram,
     "dataflow": DataflowOSELMSkipGram,
-    "block": BlockOSELMSkipGram,
+    "block": BatchRLSSkipGram,
     "batch_rls": BatchRLSSkipGram,
 }
 
@@ -41,10 +43,20 @@ MODEL_REGISTRY = {
 def make_model(
     name: str, n_nodes: int, dim: int, *, seed=None, **kwargs
 ) -> EmbeddingModel:
-    """Instantiate a model by registry name ('original' | 'proposed' |
-    'dataflow'), forwarding extra keyword arguments."""
+    """Instantiate a model by registry name, forwarding extra keyword
+    arguments.
+
+    Names: {names}.
+    """
     check_in_set("model", name, tuple(MODEL_REGISTRY))
     return MODEL_REGISTRY[name](n_nodes, dim, seed=seed, **kwargs)
+
+
+# rendered from the registry so the docstring cannot drift from it
+if make_model.__doc__:  # pragma: no branch - absent only under python -OO
+    make_model.__doc__ = make_model.__doc__.replace(
+        "{names}", " | ".join(f"'{name}'" for name in MODEL_REGISTRY)
+    )
 
 
 @dataclass
@@ -90,14 +102,14 @@ class WalkTrainer:
     negative_reuse:
         ``"per_context"`` (the CPU Algorithm 1 policy) or ``"per_walk"``
         (the FPGA policy, one batch per walk [18]).  Defaults depend on the
-        model: dataflow → per_walk, others → per_context.
+        model (:func:`~repro.embedding.kernels.default_negative_reuse`):
+        dataflow, block and batch_rls → per_walk, others → per_context.
     exec_backend:
         chunk-execution backend for :meth:`train_corpus` — an
         :data:`repro.embedding.kernels.EXEC_REGISTRY` name
         (``"reference"`` | ``"fused"`` | ``"blocked"`` | ``"compiled"``) or an
         :class:`~repro.embedding.kernels.ExecBackend` instance (e.g. a
-        ``BlockedKernel(block_contexts=8)`` with sub-walk blocks).  ``None``
-        (default) uses the model's own :attr:`~EmbeddingModel.exec_backend`
+        subclass of a registered backend).  ``None`` (default) uses the model's own :attr:`~EmbeddingModel.exec_backend`
         preference; an explicit *registry name* also sets that preference,
         so a checkpoint taken after training records the backend that
         actually trained the model (a registry-named *instance* records its

@@ -5,9 +5,8 @@ Pinned here, mirroring the backend contracts in ``test_kernels.py`` /
 
 * ``defer_span=1`` degenerates to Algorithm 1 **bit-identically** — same
   B, same P, same negative stream as the ``"proposed"`` goldens;
-* ``defer_span="walk"`` is the per-walk block-RLS of the ``"block"`` model
-  to float headroom (``BATCH_RLS_EXACT_RTOL`` — information vs Woodbury
-  factorization of the same algebra);
+* ``defer_span="walk"`` is the per-walk block RLS the ``"block"`` registry
+  name trains (its own contract lives in ``test_block.py``);
 * cross-walk spans stay within ``BATCH_RLS_RTOL`` of the ``"walk"``
   degeneration under shared negatives (hypothesis property tests);
 * walk-feeding consumers reject cross-walk spans up front with the
@@ -24,7 +23,6 @@ from hypothesis import strategies as st
 
 from repro.embedding import BatchRLSSkipGram, make_model
 from repro.embedding.kernels import (
-    BATCH_RLS_EXACT_RTOL,
     BATCH_RLS_RTOL,
     BlockedKernel,
     CompiledKernel,
@@ -34,7 +32,11 @@ from repro.embedding.kernels import (
     default_negative_reuse,
     prepare_contexts,
 )
-from repro.embedding.oselm import rank_k_update
+from repro.embedding.oselm import (
+    _rank_k_information,
+    _rank_k_woodbury,
+    rank_k_update,
+)
 from repro.embedding.trainer import MODEL_REGISTRY, WalkTrainer
 from repro.sampling.corpus import contexts_from_walk
 from repro.sampling.negative import NegativeSampler
@@ -202,22 +204,6 @@ class TestDegeneration:
         assert np.array_equal(a.B, b.B)
         assert np.array_equal(a.P, b.P)
 
-    def test_walk_span_matches_block_model(self):
-        """defer_span="walk" is the block model's per-walk block-RLS — the
-        two factorizations agree to BATCH_RLS_EXACT_RTOL."""
-        rng = np.random.default_rng(3)
-        walks = make_chunk(rng, 30, n_walks=6)
-        a = make_model("block", 30, 8, seed=5)
-        b = make_model("batch_rls", 30, 8, seed=5)
-        contexts = prepare_contexts(walks, WINDOW)
-        negatives = ReferenceKernel().draw_negatives(
-            make_sampler(30), contexts, NS, "per_walk"
-        )
-        for m in (a, b):
-            for ctx, negs in zip(contexts, negatives, strict=True):
-                m.train_walk(ctx, negs)
-        assert rel_drift(a, b) <= BATCH_RLS_EXACT_RTOL
-
     @pytest.mark.parametrize("backend", ("fused", "blocked"))
     def test_walk_span_reference_bit_identity(self, backend):
         """At walk spans every backend executes the model's own train_walk
@@ -378,8 +364,8 @@ class TestSpanScratchReuse:
 
 
 class TestInformationForm:
-    """rank_k_update(form=...): the d×d information form behind chunk-scale
-    spans must be the Woodbury batch gain, reassociated."""
+    """rank_k_update's two solve forms: the d×d information form behind
+    chunk-scale spans must be the Woodbury batch gain, reassociated."""
 
     def test_matches_woodbury(self):
         rng = np.random.default_rng(0)
@@ -387,23 +373,34 @@ class TestInformationForm:
         P0 = np.eye(d) * 2.0 + 0.1 * np.ones((d, d))
         H = rng.normal(size=(k, d))
         Pw, Pi = P0.copy(), P0.copy()
-        Kw = rank_k_update(Pw, H, gain="batch", form="woodbury")
-        Ki = rank_k_update(Pi, H, gain="batch", form="information")
+        Kw = _rank_k_woodbury(Pw, H, 1.0, "batch", None)
+        Ki = _rank_k_information(Pi, H, 1.0, None)
         np.testing.assert_allclose(Pi, Pw, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(Ki, Kw, rtol=1e-9, atol=1e-12)
 
     @pytest.mark.parametrize("lam", (1.0, 0.97))
     def test_auto_dispatch(self, lam):
+        """The form follows from the inputs: information iff the batch gain
+        is asked for and k > d; sequential gains always take Woodbury."""
         rng = np.random.default_rng(1)
         d = 5
         P0 = np.eye(d) * 3.0
-        for k, explicit in ((3, "woodbury"), (12, "information")):
+        cases = (
+            (3, "batch", "woodbury"),
+            (5, "batch", "woodbury"),
+            (12, "batch", "information"),
+            (12, "sequential", "woodbury"),
+        )
+        for k, gain, form in cases:
             H = rng.normal(size=(k, d))
             Pa, Pe = P0.copy(), P0.copy()
-            Ka = rank_k_update(Pa, H, lam=lam, gain="batch", form="auto")
-            Ke = rank_k_update(Pe, H, lam=lam, gain="batch", form=explicit)
-            assert np.array_equal(Pa, Pe), (k, explicit)
-            assert np.array_equal(Ka, Ke), (k, explicit)
+            Ka = rank_k_update(Pa, H, lam=lam, gain=gain)
+            if form == "information":
+                Ke = _rank_k_information(Pe, H, lam, None)
+            else:
+                Ke = _rank_k_woodbury(Pe, H, lam, gain, None)
+            assert np.array_equal(Pa, Pe), (k, gain)
+            assert np.array_equal(Ka, Ke), (k, gain)
 
     def test_work_reuse_bit_identical(self):
         rng = np.random.default_rng(2)
@@ -413,15 +410,7 @@ class TestInformationForm:
             P0 = np.eye(d) + 0.05 * np.ones((d, d))
             H = rng.normal(size=(k, d))
             Pa, Pb = P0.copy(), P0.copy()
-            Ka = rank_k_update(Pa, H, gain="batch", form="information", work=work)
-            Kb = rank_k_update(Pb, H, gain="batch", form="information", work={})
+            Ka = rank_k_update(Pa, H, gain="batch", work=work)  # k > d
+            Kb = rank_k_update(Pb, H, gain="batch", work={})
             assert np.array_equal(Pa, Pb)
             assert np.array_equal(Ka, Kb)
-
-    def test_invalid_form_and_gain_combos(self):
-        with pytest.raises(ValueError, match="form"):
-            rank_k_update(np.eye(3), np.ones((2, 3)), form="dual")
-        with pytest.raises(ValueError, match="gain"):
-            rank_k_update(
-                np.eye(3), np.ones((2, 3)), gain="sequential", form="information"
-            )

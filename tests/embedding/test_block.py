@@ -1,12 +1,18 @@
-"""Tests for repro.embedding.block (exact per-walk block RLS)."""
+"""Tests for the "block" model: exact per-walk block RLS, which is
+``batch_rls`` at its default ``defer_span="walk"``."""
 
 import numpy as np
 import pytest
 
-from repro.embedding.block import BlockOSELMSkipGram
+from repro.embedding.batch_rls import BatchRLSSkipGram
 from repro.embedding.dataflow import DataflowOSELMSkipGram
 from repro.embedding.sequential import OSELMSkipGram
+from repro.embedding.trainer import MODEL_REGISTRY, make_model
 from repro.sampling.corpus import WalkContexts, contexts_from_walk
+
+
+def block_model(n_nodes, dim, **kw):
+    return make_model("block", n_nodes, dim, **kw)
 
 
 def walk_inputs(n_nodes=40, length=12, window=4, ns=3, seed=0):
@@ -18,12 +24,16 @@ def walk_inputs(n_nodes=40, length=12, window=4, ns=3, seed=0):
 
 
 class TestExactness:
+    def test_block_is_batch_rls_at_walk_spans(self):
+        assert MODEL_REGISTRY["block"] is BatchRLSSkipGram
+        assert block_model(10, 4, seed=0).defer_span == "walk"
+
     def test_single_context_matches_rank1(self):
         """With one context the block step IS the rank-1 step."""
         ctx = WalkContexts(centers=np.array([3]), positives=np.array([[4, 5, 6]]))
         negs = np.array([[7, 8]])
         a = OSELMSkipGram(10, 6, seed=9)
-        b = BlockOSELMSkipGram(10, 6, seed=9)
+        b = block_model(10, 6, seed=9)
         a.train_walk(ctx, negs)
         b.train_walk(ctx, negs)
         assert np.allclose(a.B, b.B, atol=1e-10)
@@ -32,7 +42,7 @@ class TestExactness:
     def test_p_update_is_exact_block_rls(self):
         """P_new must equal (P0⁻¹ + HᵀH)⁻¹ — the Woodbury identity."""
         ctx, negs = walk_inputs(seed=2)
-        m = BlockOSELMSkipGram(40, 8, seed=2)
+        m = block_model(40, 8, seed=2)
         P0 = m.P.copy()
         H = m.mu * m.B[ctx.centers]
         m.train_walk(ctx, negs)
@@ -40,7 +50,7 @@ class TestExactness:
         assert np.allclose(m.P, expected, atol=1e-10)
 
     def test_p_stays_positive_definite(self):
-        m = BlockOSELMSkipGram(40, 8, seed=0)
+        m = block_model(40, 8, seed=0)
         for s in range(30):
             ctx, negs = walk_inputs(seed=s)
             m.train_walk(ctx, negs)
@@ -51,18 +61,18 @@ class TestExactness:
         ctx, negs = walk_inputs(seed=1)
         kw = dict(mu=0.5, p0=10.0, init_scale=1.0, seed=4)
         a = DataflowOSELMSkipGram(40, 8, **kw)
-        b = BlockOSELMSkipGram(40, 8, **kw)
+        b = block_model(40, 8, **kw)
         a.train_walk(ctx, negs)
         b.train_walk(ctx, negs)
         assert not np.allclose(a.P, b.P, atol=1e-6)
 
     def test_train_context_disabled(self):
-        m = BlockOSELMSkipGram(10, 4, seed=0)
+        m = block_model(10, 4, seed=0)
         with pytest.raises(NotImplementedError):
             m.train_context(0, np.array([1]), np.array([2]))
 
     def test_empty_walk_noop(self):
-        m = BlockOSELMSkipGram(10, 4, seed=0)
+        m = block_model(10, 4, seed=0)
         B = m.B.copy()
         ctx = contexts_from_walk(np.array([1]), 4)
         m.train_walk(ctx, np.zeros((0, 2), dtype=np.int64))
@@ -81,7 +91,7 @@ class TestStability:
         g = ring_of_cliques(6, 8, seed=0)
         kw = dict(mu=0.01, p0=10.0, init_scale=1.0, seed=1)
         dataflow = DataflowOSELMSkipGram(g.n_nodes, 16, **kw)
-        block = BlockOSELMSkipGram(g.n_nodes, 16, **kw)
+        block = block_model(g.n_nodes, 16, **kw)
         walker = Node2VecWalker(g, WalkParams(0.5, 1.0, 30, 5), seed=2)
         walks = walker.simulate()
         sampler = NegativeSampler.from_walks(walks, g.n_nodes, seed=3)
@@ -106,7 +116,7 @@ class TestStability:
 
     def test_learns_communities(self):
         rng = np.random.default_rng(0)
-        m = BlockOSELMSkipGram(6, 8, mu=0.05, seed=0)
+        m = block_model(6, 8, mu=0.05, seed=0)
         for _ in range(300):
             block_base = int(rng.choice([0, 3]))
             walk = block_base + rng.integers(0, 3, size=6)
@@ -115,10 +125,3 @@ class TestStability:
         e = m.embedding
         e = e / np.linalg.norm(e, axis=1, keepdims=True)
         assert (e[0] @ e[1] + e[3] @ e[4]) / 2 > (e[0] @ e[3] + e[1] @ e[4]) / 2
-
-
-class TestOpProfile:
-    def test_cubic_solve_term(self):
-        a = BlockOSELMSkipGram.op_profile(32, 73, 7, 10)
-        b = DataflowOSELMSkipGram.op_profile(32, 73, 7, 10)
-        assert a.mac > b.mac + 73**3 / 3 - 1

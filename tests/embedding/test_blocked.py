@@ -5,12 +5,13 @@ Pinned here, mirroring the fused contract in ``test_kernels.py``:
 
 * alpha-tied duplicate-free blocks are exact in exact arithmetic (only
   Cholesky/GEMM float reassociation remains — ``BLOCKED_EXACT_RTOL``);
-* ``block_contexts=1`` degenerates to the scalar recursion for *every*
-  tying (the staleness terms of the documented O(µ²·k) bound all vanish);
+* one-context blocks degenerate to the scalar recursion for *every* tying
+  (the staleness terms of the documented O(µ²·k) bound all vanish) — the
+  backend always blocks per walk, so the sub-walk analysis runs through
+  the private ``_train_oselm_blocked(..., block_contexts)`` entry point;
 * real walks at the paper's µ = 0.01 stay inside ``BLOCKED_RTOL`` across
   models × duplicate policies (hypothesis property tests, shared
   pre-drawn negatives isolating the arithmetic);
-* block specs that would cross walk boundaries are rejected up front;
 * P stays exactly symmetric (the square-root downdate + per-walk
   re-symmetrization).
 """
@@ -28,6 +29,8 @@ from repro.embedding.kernels import (
     BlockedKernel,
     FusedKernel,
     ReferenceKernel,
+    _train_oselm_blocked,
+    default_negative_reuse,
     make_backend,
     prepare_contexts,
     resolve_backend,
@@ -51,7 +54,20 @@ def make_chunk(rng, n_nodes, n_walks=4, max_len=18):
 
 
 def reuse_for(name):
-    return "per_walk" if name in ("dataflow", "batch_rls") else "per_context"
+    return default_negative_reuse(make_model(name, 4, 2))
+
+
+class SubWalkBlocks:
+    """Blocks of ``block_contexts`` contexts within each walk, through the
+    blocked kernel's private per-walk entry point — the seam that pins the
+    O(µ²·k) analysis at block sizes the backend itself never runs."""
+
+    def __init__(self, block_contexts):
+        self.block_contexts = block_contexts
+
+    def train_prepared(self, model, contexts, negatives):
+        for ctx, negs in zip(contexts, negatives, strict=True):
+            _train_oselm_blocked(model, ctx, negs, self.block_contexts)
 
 
 def run_pair(name, walks, n_nodes, other, *, window=WINDOW, dim=8, seed=7, **kw):
@@ -88,9 +104,8 @@ class TestRegistryAndKnobs:
         assert "blocked" in EXEC_BACKENDS
         backend = make_backend("blocked")
         assert isinstance(backend, BlockedKernel)
-        assert backend.block_contexts == "walk"
         assert not BlockedKernel.chunk_invariant  # bulk draw, like fused
-        assert "block_contexts" in repr(backend)
+        assert repr(backend) == "BlockedKernel()"
 
     def test_tolerance_table_covers_every_model(self):
         assert set(BLOCKED_RTOL) == set(MODEL_REGISTRY)
@@ -105,25 +120,8 @@ class TestRegistryAndKnobs:
         )
 
     def test_configured_instance_resolves_as_is(self):
-        backend = BlockedKernel(block_contexts=8)
+        backend = BlockedKernel()
         assert resolve_backend(backend) is backend
-        assert backend.block_contexts == 8
-
-    @pytest.mark.parametrize("bad", (0, -3))
-    def test_non_positive_block_rejected(self, bad):
-        with pytest.raises(ValueError, match="block_contexts"):
-            BlockedKernel(block_contexts=bad)
-
-    @pytest.mark.parametrize("bad", ("chunk", "corpus", "epoch"))
-    def test_cross_walk_block_rejected(self, bad):
-        """A block spec that would span walks is refused with the rendered
-        registry docs — same UX as the pipeline's fused × auto rejection."""
-        with pytest.raises(ValueError) as exc:
-            BlockedKernel(block_contexts=bad)
-        msg = str(exc.value)
-        assert "walk bound" in msg
-        assert BlockedKernel.name in msg
-        assert BlockedKernel.summary in msg  # rendered from the registry
 
     def test_api_docs_render_blocked(self):
         from repro import train_embedding
@@ -136,17 +134,22 @@ class TestAlphaTiedExactness:
     reproduces the sequential recursion exactly in exact arithmetic; only
     floating-point reassociation of the factorization remains."""
 
-    @pytest.mark.parametrize("block_contexts", ("walk", 4, 1))
-    def test_exact_on_duplicate_free_blocks(self, block_contexts):
+    @pytest.mark.parametrize(
+        "kernel",
+        (
+            pytest.param(BlockedKernel(), id="walk"),
+            pytest.param(SubWalkBlocks(4), id="4"),
+            pytest.param(SubWalkBlocks(1), id="1"),
+        ),
+    )
+    def test_exact_on_duplicate_free_blocks(self, kernel):
         rng = np.random.default_rng(0)
         walks, contexts, negatives = duplicate_free_case(rng)
         del walks  # the constructed (duplicate-free) negatives are the point
         a = make_model("proposed", 300, 8, seed=7, weight_tying="alpha")
         b = make_model("proposed", 300, 8, seed=7, weight_tying="alpha")
         ReferenceKernel().train_prepared(a, contexts, negatives)
-        BlockedKernel(block_contexts=block_contexts).train_prepared(
-            b, contexts, negatives
-        )
+        kernel.train_prepared(b, contexts, negatives)
         scale = max(np.abs(a.embedding).max(), 1.0)
         assert np.abs(a.embedding - b.embedding).max() <= BLOCKED_EXACT_RTOL * scale
         assert np.abs(a.P - b.P).max() <= BLOCKED_EXACT_RTOL
@@ -189,12 +192,16 @@ class TestAlphaTiedExactness:
 
 
 class TestBlockContextsKnob:
+    """Sub-walk block sizes of ``_train_oselm_blocked`` (the backend itself
+    always runs one block per walk)."""
+
     def test_block_of_one_degenerates_to_reference_any_tying(self):
-        """At block_contexts=1 every staleness term of the O(µ²·k) analysis
-        vanishes — the solve IS the scalar recursion, for beta tying too."""
+        """With one-context blocks every staleness term of the O(µ²·k)
+        analysis vanishes — the solve IS the scalar recursion, for beta
+        tying too."""
         rng = np.random.default_rng(2)
         walks = make_chunk(rng, 40, n_walks=4)
-        a, b = run_pair("proposed", walks, 40, BlockedKernel(block_contexts=1))
+        a, b = run_pair("proposed", walks, 40, SubWalkBlocks(1))
         scale = max(np.abs(a.embedding).max(), 1.0)
         assert np.abs(a.embedding - b.embedding).max() <= BLOCKED_EXACT_RTOL * scale
         assert np.abs(a.P - b.P).max() <= BLOCKED_EXACT_RTOL
@@ -211,7 +218,7 @@ class TestBlockContextsKnob:
         a = make_model("proposed", 30, 8, seed=5)
         b = make_model("proposed", 30, 8, seed=5)
         BlockedKernel().train_prepared(a, contexts, negs)
-        BlockedKernel(block_contexts=10_000).train_prepared(b, contexts, negs)
+        SubWalkBlocks(10_000).train_prepared(b, contexts, negs)
         assert np.array_equal(a.embedding, b.embedding)
         assert np.array_equal(a.P, b.P)
 
@@ -219,7 +226,7 @@ class TestBlockContextsKnob:
         rng = np.random.default_rng(4)
         walks = make_chunk(rng, 40, n_walks=4)
         for bc in (2, 3, 7):
-            a, b = run_pair("proposed", walks, 40, BlockedKernel(block_contexts=bc))
+            a, b = run_pair("proposed", walks, 40, SubWalkBlocks(bc))
             scale = max(np.abs(a.embedding).max(), 1e-12)
             drift = np.abs(a.embedding - b.embedding).max() / scale
             assert drift <= BLOCKED_RTOL["proposed"], bc
@@ -301,12 +308,12 @@ class TestBlockedToleranceContract:
         assert np.array_equal(a.P, b.P)
 
     def test_forgetting_factor_block_of_one_matches_reference(self):
-        """λ < 1: the 1/λ rescaling is per block, so block_contexts=1
-        reproduces the per-context FOS-ELM recursion."""
+        """λ < 1: the 1/λ rescaling is per block, so one-context blocks
+        reproduce the per-context FOS-ELM recursion."""
         rng = np.random.default_rng(7)
         walks = make_chunk(rng, 30, n_walks=3)
         a, b = run_pair(
-            "proposed", walks, 30, BlockedKernel(block_contexts=1),
+            "proposed", walks, 30, SubWalkBlocks(1),
             forgetting_factor=0.99,
         )
         scale = max(np.abs(a.embedding).max(), 1.0)

@@ -20,6 +20,7 @@ from repro.embedding.kernels import (
     CompiledKernel,
     FusedKernel,
     ReferenceKernel,
+    default_negative_reuse,
     make_backend,
     prepare_contexts,
     resolve_backend,
@@ -46,7 +47,7 @@ def make_chunk(rng, n_nodes, n_walks=4, max_len=18):
 
 
 def reuse_for(name):
-    return "per_walk" if name in ("dataflow", "batch_rls") else "per_context"
+    return default_negative_reuse(make_model(name, 4, 2))
 
 
 def shared_negative_run(name, walks, n_nodes, *, policy=None, dim=8, seed=7):

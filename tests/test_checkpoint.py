@@ -5,6 +5,7 @@ import pytest
 
 from repro.checkpoint import load_model, save_model
 from repro.embedding import (
+    BatchRLSSkipGram,
     DataflowOSELMSkipGram,
     MODEL_REGISTRY,
     OSELM,
@@ -230,4 +231,68 @@ class TestBatchRLSCheckpoint:
         WalkTrainer(a, window=4, ns=3).train_corpus(more, sa)
         WalkTrainer(b, window=4, ns=3).train_corpus(more, sb)
         assert np.array_equal(a.embedding, b.embedding)
+        assert np.array_equal(a.P, b.P)
+
+
+class TestBlockCheckpoint:
+    """"block" is batch_rls at defer_span="walk": it saves as "batch_rls",
+    and files of kind "block" (written before the alias) still load."""
+
+    @staticmethod
+    def read_meta(path):
+        import json
+
+        with np.load(path) as data:
+            return json.loads(bytes(data["__meta__"].tobytes()).decode())
+
+    def test_block_saves_as_batch_rls(self, tmp_path):
+        path = str(tmp_path / "block.npz")
+        save_model(make_model("block", 20, 8, seed=3), path)
+        config = self.read_meta(path)["config"]
+        assert config["kind"] == "batch_rls"
+        assert config["defer_span"] == "walk"
+
+    def test_block_kind_file_loads_and_trains_bitwise(self, tmp_path):
+        """A hand-built file in the older format — kind "block", no
+        defer_span field — loads as BatchRLSSkipGram at walk spans and then
+        trains bit-identically to the model it was written from."""
+        import json
+
+        a = trained_proposed(cls=MODEL_REGISTRY["block"], forgetting_factor=0.99)
+        config = {
+            "kind": "block",
+            "n_nodes": a.n_nodes,
+            "dim": a.dim,
+            "mu": a.mu,
+            "p0": a.p0,
+            "weight_tying": a.weight_tying,
+            "denominator": a.denominator,
+            "duplicate_policy": a.duplicate_policy,
+            "forgetting_factor": a.forgetting_factor,
+            "n_walks_trained": a.n_walks_trained,
+            "exec_backend": "reference",
+        }
+        path = str(tmp_path / "old_block.npz")
+        np.savez(
+            path,
+            __meta__=np.frombuffer(
+                json.dumps({"version": 1, "config": config}).encode(),
+                dtype=np.uint8,
+            ),
+            B=a.B,
+            P=a.P,
+        )
+        b = load_model(path)
+        assert type(b) is BatchRLSSkipGram
+        assert b.defer_span == "walk"
+        assert b.n_walks_trained == a.n_walks_trained
+        assert b.forgetting_factor == 0.99
+
+        rng = np.random.default_rng(4)
+        more = [rng.integers(0, 20, size=10) for _ in range(4)]
+        for m in (a, b):
+            WalkTrainer(m, window=4, ns=3).train_corpus(
+                more, NegativeSampler(np.ones(20), seed=2)
+            )
+        assert np.array_equal(a.B, b.B)
         assert np.array_equal(a.P, b.P)
