@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Host-side parallelism: the streaming walk→train pipeline + batched sampler.
+"""Host-side parallelism: the streaming walk→train pipeline + lockstep walks.
 
 The paper's board overlaps PS-side walk sampling with PL-side training
 (§3.2); :func:`repro.parallel.train_parallel` reproduces that overlap on a
@@ -33,7 +33,9 @@ Knobs demonstrated below:
   becomes a single shared-negative rank-k solve, this family's raw-speed
   ceiling (``"reference"``/``"compiled"`` reject cross-walk spans);
 * ``result.telemetry`` — per-stage timing, IPC bytes, training walks/s and
-  contexts/s, realized overlap.
+  contexts/s, realized overlap;
+* lockstep walks — a chunk of at least ``LOCKSTEP_MIN_WALKS`` walks
+  advances all its walks together, bitwise the same walks as one at a time.
 
 Run:  python examples/parallel_training.py
 """
@@ -46,7 +48,7 @@ import numpy as np
 from repro.graph import amazon_photo_like, barabasi_albert
 from repro.parallel import ParallelWalkGenerator, train_parallel
 from repro.experiments.hyper import Node2VecParams
-from repro.sampling import BatchedWalker, Node2VecWalker
+from repro.sampling.lockstep import LOCKSTEP_MIN_WALKS
 
 
 def main() -> None:
@@ -137,18 +139,24 @@ def main() -> None:
     print(f"embedding identical across workers/transport/chunking: "
           f"{np.array_equal(a.embedding, b.embedding)}")
 
-    # -- batched lockstep sampler --------------------------------------- #
-    # (BatchedWalker's fast regime is unweighted + q=1, so this comparison
-    # runs on an unweighted surrogate of similar size)
+    # -- lockstep vs per-walk walks on an unweighted graph --------------- #
+    # every walk draws one uniform per step from its own stream, so chunks
+    # below LOCKSTEP_MIN_WALKS (walked one at a time) and larger chunks
+    # (walked in lockstep) produce the same corpus
     flat = barabasi_albert(graph.n_nodes, 8, seed=0)
-    t0 = time.perf_counter()
-    Node2VecWalker(flat, hyper.walk_params(), seed=2).simulate()
-    t_ref = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    BatchedWalker(flat, hyper.walk_params(), seed=2).simulate()
-    t_bat = time.perf_counter() - t0
-    print(f"reference walker: {t_ref:.2f}s   batched walker: {t_bat:.2f}s "
-          f"({t_ref / t_bat:.1f}x)")
+    corpora, seconds = {}, {}
+    for label, chunk in (("per-walk", LOCKSTEP_MIN_WALKS - 1), ("lockstep", 256)):
+        t0 = time.perf_counter()
+        gen = ParallelWalkGenerator(flat, hyper.walk_params(), chunk_size=chunk, seed=2)
+        corpora[label] = gen.all_walks()
+        seconds[label] = time.perf_counter() - t0
+    same = all(
+        np.array_equal(a, b)
+        for a, b in zip(corpora["per-walk"], corpora["lockstep"], strict=True)
+    )
+    print(f"per-walk chunks: {seconds['per-walk']:.2f}s   lockstep chunks: "
+          f"{seconds['lockstep']:.2f}s "
+          f"({seconds['per-walk'] / seconds['lockstep']:.1f}x, same walks: {same})")
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Compiled (numba-JIT) training and walk kernels — the ``"compiled"`` seam.
+"""Compiled (numba-JIT) training kernels — the ``"compiled"`` seam.
 
 The paper's premise is that sequential OS-ELM training is bottlenecked by
 software overhead the hardware removes; the execution-backend registry
@@ -6,8 +6,7 @@ software overhead the hardware removes; the execution-backend registry
 fills it in software: the ``"reference"`` backend's per-walk loops —
 Algorithm 1's per-context RLS recursion and the SGD baseline's per-window
 updates — rewritten as ``@njit(cache=True)`` kernels with **no objmode in
-the hot path**, plus a compiled scatter for the blocked rank-k kernel and a
-compiled transition kernel for :class:`repro.sampling.batched.BatchedWalker`.
+the hot path**, plus a compiled scatter for the blocked rank-k kernel.
 
 Bit-exactness contract
 ----------------------
@@ -19,9 +18,7 @@ Every training kernel here reproduces the ``"reference"`` semantics
 * **RNG order** — kernels never draw randomness.  Negatives arrive
   pre-drawn from Python in the reference per-walk order
   (:class:`~repro.embedding.kernels.CompiledKernel` inherits
-  ``ReferenceKernel.draw_negatives``), and the walk kernel consumes a
-  pre-drawn uniform pool in exactly the per-lane order the vectorized
-  NumPy walker realizes (see :func:`walk_fill`).
+  ``ReferenceKernel.draw_negatives``).
 * **float64 update order** — reductions that NumPy routes through BLAS
   (``rows @ h``, ``P @ H``, ``H @ Ph``) stay array-level ``np.dot`` calls
   (numba lowers them to the same BLAS), while everything NumPy executes
@@ -70,7 +67,6 @@ __all__ = [
     "oselm_walk",
     "py_func",
     "sgd_walk",
-    "walk_fill",
     "warn_fallback",
 ]
 
@@ -283,106 +279,3 @@ def blocked_scatter(B, rows, inv, E, K):
         row = rows[r]
         for e in range(d):
             B[row, e] += upd[r, e]
-
-
-# ---------------------------------------------------------------------------#
-# batched walk transition kernel
-# ---------------------------------------------------------------------------#
-
-
-@_jit
-def _pick_neighbor(indptr, indices, deg, cumw, weighted, cur, u):
-    """One neighbor draw from ``cur`` given one uniform ``u`` — the scalar
-    form of ``BatchedWalker._propose`` for one lane (uniform CSR gather, or
-    the weighted cumulative-sum search)."""
-    lo = indptr[cur]
-    if weighted:
-        hi = indptr[cur + 1]
-        base = cumw[lo]
-        t = base + u * (cumw[hi] - base)
-        # bisect_right(cumw, t) restricted to [lo, hi + 1): the first index
-        # with cumw[idx] > t, exactly np.searchsorted(..., side="right")
-        l = lo
-        r = hi + 1
-        while l < r:
-            mid = (l + r) // 2
-            if cumw[mid] > t:
-                r = mid
-            else:
-                l = mid + 1
-        j = l - 1
-        if j > hi - 1:  # u*total rounding up to the row total
-            j = hi - 1
-        return indices[j]
-    return indices[lo + int(u * deg[cur])]
-
-
-@_jit
-def walk_fill(
-    out, indptr, indices, deg, cumw, weighted, p_inv, alpha_max, pool, col, pos, pend, cand
-):
-    """Fill ``out[:, col:]`` with biased walk steps, consuming ``pool``.
-
-    The compiled form of ``BatchedWalker.walk_batch``'s step loop: per
-    column, the pending lanes (ascending lane order — ``out[:, i] == -1``
-    with a live, non-dangling predecessor, recomputable from ``out`` alone)
-    run rejection rounds of one proposal uniform + one acceptance uniform
-    each, in exactly the order the NumPy path draws them — so both paths
-    consume the same prefix of the walker's uniform stream and produce
-    bitwise-identical batches.
-
-    Returns ``(col, pos)``: ``col == out.shape[1]`` when the batch is
-    complete; otherwise the pool cannot cover the next round and the caller
-    must refill (unconsumed tail first, fresh draws appended) and re-enter —
-    resumption state is entirely ``(out, col)``.
-
-    ``pend``/``cand`` are caller-provided int64 scratch of length
-    ``out.shape[0]``.
-    """
-    W, length = out.shape
-    n_pool = pool.shape[0]
-    i = col
-    while i < length:
-        n_pend = 0
-        for w in range(W):
-            c = out[w, i - 1]
-            if out[w, i] == -1 and c >= 0 and deg[c] > 0:
-                pend[n_pend] = w
-                n_pend += 1
-        if n_pend == 0:  # no lane can ever revive: remaining columns stay -1
-            i += 1
-            continue
-        if i == 1:
-            # first step: uniform neighbor, no bias — one draw per lane
-            if n_pool - pos < n_pend:
-                return i, pos
-            for t in range(n_pend):
-                w = pend[t]
-                out[w, 1] = _pick_neighbor(
-                    indptr, indices, deg, cumw, weighted, out[w, 0], pool[pos + t]
-                )
-            pos += n_pend
-            i += 1
-            continue
-        while n_pend > 0:
-            if n_pool - pos < 2 * n_pend:
-                return i, pos
-            for t in range(n_pend):
-                w = pend[t]
-                cand[t] = _pick_neighbor(
-                    indptr, indices, deg, cumw, weighted, out[w, i - 1], pool[pos + t]
-                )
-            pos += n_pend
-            m = 0
-            for t in range(n_pend):
-                w = pend[t]
-                a = p_inv if cand[t] == out[w, i - 2] else 1.0
-                if pool[pos + t] * alpha_max <= a:
-                    out[w, i] = cand[t]
-                else:  # retry only the rejected lanes, order preserved
-                    pend[m] = w
-                    m += 1
-            pos += n_pend
-            n_pend = m
-        i += 1
-    return i, pos

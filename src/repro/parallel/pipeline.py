@@ -206,20 +206,20 @@ def _run_chunk(
 
     ``lo`` is the chunk's global walk offset: walk ``lo + k`` draws from its
     own per-walk stream, making the corpus independent of how the start
-    list was chunked.  A chunk of at least ``LOCKSTEP_MIN_WALKS`` walks on a
-    graph where every step draws one uniform (weighted graphs) advances all
-    its walks in lockstep, bitwise the same walks as the per-walk loop
-    (:mod:`repro.sampling.lockstep`); other chunks walk one at a time.
+    list was chunked.  A chunk of at least ``LOCKSTEP_MIN_WALKS`` walks
+    advances all its walks in lockstep, bitwise the same walks as the
+    per-walk loop (:mod:`repro.sampling.lockstep`); smaller chunks walk one
+    at a time.
     """
     t0 = time.perf_counter()
-    walker = Node2VecWalker(graph, params, seed=0)
     streams = (
         as_generator(np.random.SeedSequence([seed, _WALK_NS, lo + k]))
         for k in range(len(starts))
     )
-    if walker.one_uniform_per_step and len(starts) >= LOCKSTEP_MIN_WALKS:
+    if len(starts) >= LOCKSTEP_MIN_WALKS:
         batch = lockstep_walks(graph, params, starts, streams)
     else:
+        walker = Node2VecWalker(graph, params, seed=0)
         walks = []
         for s, rng in zip(starts, streams, strict=True):
             walker.rng = rng

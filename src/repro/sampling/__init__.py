@@ -3,7 +3,6 @@ pluggable negative-source strategy layer, node2vec second-order random
 walks, and window partitioning of walks into skip-gram training contexts."""
 
 from repro.sampling.alias import AliasTable
-from repro.sampling.batched import BatchedWalker
 from repro.sampling.corpus import (
     WalkContexts,
     contexts_from_walk,
@@ -26,7 +25,6 @@ from repro.sampling.walks import Node2VecWalker, WalkParams
 
 __all__ = [
     "AliasTable",
-    "BatchedWalker",
     "NegativeSampler",
     "NEGATIVE_SOURCES",
     "SOURCE_REGISTRY",

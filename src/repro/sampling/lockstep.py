@@ -7,15 +7,12 @@ array operations per step, and reproduces the per-walk walks bit for bit.
 
 When it applies
 ---------------
-The ``"exact"`` strategy draws exactly one ``Generator.random()`` per
-transition on a *weighted* graph (``not np.allclose(weights, 1.0)``, the
-test :class:`Node2VecWalker` itself makes), for any ``p`` and ``q``.  A
+On every graph, weighted or not, for any ``p`` and ``q``: the ``"exact"``
+strategy draws exactly one ``Generator.random()`` per transition.  A
 walk's uniforms are then the first ``length - 1`` draws of its stream, and
 one ``random(length - 1)`` call yields the same bits as the scalar calls.
-Unweighted graphs keep the per-walk path: there the walker calls
-``Generator.integers`` in a data-dependent pattern, a stream no bulk draw
-reproduces.  (:class:`~repro.sampling.batched.BatchedWalker` is a
-different, rejection-based sampler with its own stream.)
+The pipeline takes this path for every chunk of at least
+:data:`LOCKSTEP_MIN_WALKS` walks; smaller chunks walk one at a time.
 
 Why the walks are identical
 ---------------------------
@@ -58,10 +55,15 @@ __all__ = ["LOCKSTEP_MIN_WALKS", "WalkBatch", "lockstep_walks"]
 
 #: Smallest chunk the lockstep path takes.  Below it the fixed per-step
 #: array overhead (a sort and a few degree blocks per step) costs more than
-#: the per-walk loop saves.  Measured on the 1000-node degree-corrected SBM
-#: of the static benchmark (mean degree 10, p = 0.5, l = 20–80, q = 0.5, 1
-#: and 2; 2-vCPU x86 VM): lockstep is 0.7–0.8× the per-walk loop at 2 walks
-#: per chunk, even at 3, 1.1–1.3× faster at 4, 1.9× at 8 and 7–10× at 256.
+#: the per-walk loop saves.  Measured on a 2-vCPU x86 VM, p = 0.5:
+#:
+#: * the weighted 1000-node degree-corrected SBM of the static benchmark
+#:   (mean degree 10, l = 20–80, q = 0.5, 1 and 2): lockstep is 0.7–0.8×
+#:   the per-walk loop at 2 walks per chunk, even at 3, 1.1–1.3× faster at
+#:   4, 1.9× at 8 and 7–10× at 256;
+#: * unweighted 20-step chunks on the dynamic replay's 1000-node graph (mean
+#:   degree 5–8, q = 1 and 2): 0.4–0.5× at 1 walk, 0.6–0.7× at 2,
+#:   0.9–1.0× at 3, 1.1× at 4 and 1.6–1.7× at 8.
 LOCKSTEP_MIN_WALKS = 4
 
 #: A degree bucket merges into the next wider one when padding it costs
@@ -131,9 +133,8 @@ def lockstep_walks(
     """Walk from every start in lockstep; walk ``k`` draws from
     ``streams[k]``.
 
-    Only valid where the ``"exact"`` strategy draws one uniform per step
-    (weighted graphs, module docstring); the result is then bitwise-equal
-    to ``Node2VecWalker.walk`` run once per start with ``rng`` set to the
+    The result is bitwise-equal to the ``"exact"`` strategy's
+    ``Node2VecWalker.walk`` run once per start with ``rng`` set to the
     matching stream.  A step from a row whose weights sum to zero raises
     ``IndexError``, like the per-walk path.
     """

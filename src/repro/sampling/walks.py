@@ -13,8 +13,10 @@ Three sampling strategies are provided:
 ``"exact"`` (default)
     per-step categorical over the current neighbor slice.  Fully vectorized
     per step, no precomputation; when ``q == 1`` (the paper's Table 2 value)
-    the adjacency test vanishes and only the return bias remains, which is
-    detected and fast-pathed.
+    the adjacency test vanishes and only the return bias remains.  Every
+    transition draws exactly one ``rng.random()``, on weighted and
+    unweighted graphs alike, so :mod:`repro.sampling.lockstep` reproduces
+    these walks in bulk.
 ``"alias"``
     per-(prev, cur) alias tables precomputed for the whole graph (the classic
     node2vec preprocessing).  Exact O(1) per step but O(Σ deg²) build cost —
@@ -87,7 +89,6 @@ class Node2VecWalker:
         self.rng = as_generator(seed)
 
         p, q = self.params.p, self.params.q
-        self._unweighted = bool(np.allclose(graph.weights, 1.0))
         self._uniform_q = bool(q == 1.0)
         self._alpha_max = max(1.0 / p, 1.0, 1.0 / q)
 
@@ -98,14 +99,6 @@ class Node2VecWalker:
         elif strategy == "rejection":
             self._build_node_tables()
 
-    @property
-    def one_uniform_per_step(self) -> bool:
-        """Whether every transition draws exactly one ``rng.random()``:
-        the ``"exact"`` strategy on a weighted graph.  Such walks can be
-        reproduced in bulk (:mod:`repro.sampling.lockstep`); the unweighted
-        fast path calls ``rng.integers`` in a data-dependent pattern."""
-        return self.strategy == "exact" and not self._unweighted
-
     # ------------------------------------------------------------------ #
     # Preprocessing
     # ------------------------------------------------------------------ #
@@ -114,7 +107,7 @@ class Node2VecWalker:
         """Un-normalized α_pq(t, x)·w_ux over the neighbors of ``u``."""
         g = self.graph
         nbrs = g.neighbors(u)
-        w = g.neighbor_weights(u).copy()
+        w = g.neighbor_weights(u)
         p, q = self.params.p, self.params.q
         if not self._uniform_q:
             alpha = np.full(nbrs.shape[0], 1.0 / q)
@@ -153,33 +146,14 @@ class Node2VecWalker:
         nbrs = g.neighbors(start)
         if nbrs.size == 0:
             return -1
-        w = g.neighbor_weights(start)
-        if self._unweighted:
-            return int(nbrs[self.rng.integers(nbrs.size)])
-        c = np.cumsum(w)
+        c = np.cumsum(g.neighbor_weights(start))
         return int(nbrs[np.searchsorted(c, self.rng.random() * c[-1], side="right")])
 
     def _step_exact(self, t: int, u: int) -> int:
-        g = self.graph
-        nbrs = g.neighbors(u)
+        nbrs = self.graph.neighbors(u)
         if nbrs.size == 0:
             return -1
-        p = self.params.p
-        if self._uniform_q and self._unweighted:
-            # Fast path (the paper's q=1 on unweighted graphs): all neighbors
-            # weight 1 except t at 1/p.  One bisect + at most two RNG calls.
-            i_t = int(np.searchsorted(nbrs, t))
-            has_t = i_t < nbrs.size and nbrs[i_t] == t
-            if not has_t:
-                return int(nbrs[self.rng.integers(nbrs.size)])
-            rest = nbrs.size - 1
-            w_t = 1.0 / p
-            if self.rng.random() * (rest + w_t) < w_t:
-                return t
-            j = self.rng.integers(rest)
-            return int(nbrs[j if j < i_t else j + 1])
-        w = self._transition_weights(t, u)
-        c = np.cumsum(w)
+        c = np.cumsum(self._transition_weights(t, u))
         return int(nbrs[np.searchsorted(c, self.rng.random() * c[-1], side="right")])
 
     def _step_alias(self, t: int, u: int) -> int:

@@ -105,13 +105,20 @@ class TestDriftThroughPipeline:
         assert t_before.n_workers == t_after.n_workers == 2
 
     def test_decayed_source_recovers(self, graph):
-        res = run_drift_scenario(
-            graph, model="proposed", dim=16, hyper=HP, drift_fraction=0.3,
-            seed=0, model_kwargs={"mu": 0.05},
-            negative_source=DecayedSource(decay=0.9, rebuild_every=2,
-                                          virtual_chunk=16),
-        )
-        assert res.f1_recovered > res.f1_after_drift
+        """Recovery is a property of the source, not of one stream: over
+        five fixed seeds, training on the drifted graph raises the mean F1
+        above its post-drift mean."""
+        recovered, after_drift = [], []
+        for seed in range(5):
+            res = run_drift_scenario(
+                graph, model="proposed", dim=16, hyper=HP, drift_fraction=0.3,
+                seed=seed, model_kwargs={"mu": 0.05},
+                negative_source=DecayedSource(decay=0.9, rebuild_every=2,
+                                              virtual_chunk=16),
+            )
+            recovered.append(res.f1_recovered)
+            after_drift.append(res.f1_after_drift)
+        assert np.mean(recovered) > np.mean(after_drift)
 
 
 class TestTrainDynamicApi:

@@ -84,35 +84,45 @@ class TestStability:
         """The clique stress case: walks revisit the same few nodes, the
         summed rank-1 deflations of Algorithm 2 overshoot and P goes
         indefinite → divergence.  The exact block solve keeps P positive
-        definite and the embedding bounded on the identical stream."""
+        definite and the embedding bounded on the identical stream.
+
+        Divergence depends on the stream, so the claim is stated over five
+        fixed seeds: dataflow diverges on most of them, and block stays
+        bounded with P positive definite on every one.  The overshoot needs
+        a large hᵀPh ≈ μ²·dim·init_scale²·p0 per context: at μ = 0.01
+        (0.016) dataflow stays bounded on all five seeds, at μ = 0.03
+        (0.14) it diverges on all five."""
         from repro.graph import ring_of_cliques
         from repro.sampling import NegativeSampler, Node2VecWalker, WalkParams
 
         g = ring_of_cliques(6, 8, seed=0)
-        kw = dict(mu=0.01, p0=10.0, init_scale=1.0, seed=1)
-        dataflow = DataflowOSELMSkipGram(g.n_nodes, 16, **kw)
-        block = block_model(g.n_nodes, 16, **kw)
-        walker = Node2VecWalker(g, WalkParams(0.5, 1.0, 30, 5), seed=2)
-        walks = walker.simulate()
-        sampler = NegativeSampler.from_walks(walks, g.n_nodes, seed=3)
-        dataflow_diverged = False
-        with np.errstate(all="ignore"):
-            for w in walks:
-                ctx = contexts_from_walk(w, 5)
-                if ctx.n == 0:
-                    continue
-                negs = sampler.sample_for_walk(ctx.n, 5, reuse="per_walk")
-                block.train_walk(ctx, negs)
-                if not dataflow_diverged:
-                    dataflow.train_walk(ctx, negs)
-                    dataflow_diverged = (
-                        not np.isfinite(dataflow.B).all()
-                        or np.abs(dataflow.B).max() > 1e6
-                    )
-        assert dataflow_diverged
-        assert np.isfinite(block.B).all()
-        assert np.abs(block.B).max() < 1e3
-        assert np.linalg.eigvalsh(block.P).min() > 0
+        n_diverged = 0
+        for seed in range(5):
+            kw = dict(mu=0.03, p0=10.0, init_scale=1.0, seed=seed)
+            dataflow = DataflowOSELMSkipGram(g.n_nodes, 16, **kw)
+            block = block_model(g.n_nodes, 16, **kw)
+            walker = Node2VecWalker(g, WalkParams(0.5, 1.0, 30, 5), seed=seed)
+            walks = walker.simulate()
+            sampler = NegativeSampler.from_walks(walks, g.n_nodes, seed=seed)
+            dataflow_diverged = False
+            with np.errstate(all="ignore"):
+                for w in walks:
+                    ctx = contexts_from_walk(w, 5)
+                    if ctx.n == 0:
+                        continue
+                    negs = sampler.sample_for_walk(ctx.n, 5, reuse="per_walk")
+                    block.train_walk(ctx, negs)
+                    if not dataflow_diverged:
+                        dataflow.train_walk(ctx, negs)
+                        dataflow_diverged = (
+                            not np.isfinite(dataflow.B).all()
+                            or np.abs(dataflow.B).max() > 1e6
+                        )
+            n_diverged += dataflow_diverged
+            assert np.isfinite(block.B).all(), seed
+            assert np.abs(block.B).max() < 1e3, seed
+            assert np.linalg.eigvalsh(block.P).min() > 0, seed
+        assert n_diverged >= 3
 
     def test_learns_communities(self):
         rng = np.random.default_rng(0)

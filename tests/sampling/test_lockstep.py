@@ -42,15 +42,19 @@ def assert_same_walks(expected, batch):
         assert np.array_equal(e, g)
 
 
-def weighted_graph(seed, n, n_isolated, arcs_per_node, directed):
-    """Random weighted graph whose last ``n_isolated`` nodes have no edges;
-    directed graphs also have dangling nodes mid-walk."""
+def random_graph(seed, n, n_isolated, arcs_per_node, directed, weighted=True):
+    """Random graph whose last ``n_isolated`` nodes have no edges; directed
+    graphs also have dangling nodes mid-walk.  An unweighted graph keeps
+    each distinct edge once, at weight 1."""
     rng = as_generator(seed)
     live = n - n_isolated
     m = int(arcs_per_node * live)
     edges = rng.integers(0, max(live, 1), size=(m, 2))
     weights = rng.uniform(0.05, 5.0, size=m)
-    return CSRGraph.from_edges(n, edges, weights, directed=directed)
+    g = CSRGraph.from_edges(n, edges, weights, directed=directed)
+    if weighted:
+        return g
+    return CSRGraph.from_edges(n, g.edge_array(), directed=directed)
 
 
 class TestBitIdentity:
@@ -60,6 +64,7 @@ class TestBitIdentity:
         n_isolated=st.integers(0, 3),
         arcs_per_node=st.sampled_from([0.6, 1.5, 4.0]),
         directed=st.booleans(),
+        weighted=st.booleans(),
         p=st.sampled_from([0.25, 0.5, 1.0, 3.0]),
         q=st.sampled_from([0.5, 1.0, 2.0]),
         length=st.sampled_from([1, 2, 3, 9, 30]),
@@ -68,10 +73,13 @@ class TestBitIdentity:
     )
     @settings(max_examples=200, deadline=None)
     def test_lockstep_equals_per_walk_loop(
-        self, graph_seed, n, n_isolated, arcs_per_node, directed, p, q, length,
-        n_walks, lo,
+        self, graph_seed, n, n_isolated, arcs_per_node, directed, weighted, p, q,
+        length, n_walks, lo,
     ):
-        g = weighted_graph(graph_seed, n, min(n_isolated, n - 1), arcs_per_node, directed)
+        g = random_graph(
+            graph_seed, n, min(n_isolated, n - 1), arcs_per_node, directed, weighted
+        )
+        assert weighted or (g.weights == 1.0).all()
         params = WalkParams(p=p, q=q, length=length)
         starts = as_generator(graph_seed).integers(0, n, size=n_walks)
         expected = per_walk(g, params, starts, lo)
@@ -95,7 +103,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("q", [0.5, 2.0])
     def test_directed_return_test_follows_arc_direction(self, q):
         """On a directed graph α uses the arc prev → next, not next → prev."""
-        g = weighted_graph(5, 30, 0, 4.0, directed=True)
+        g = random_graph(5, 30, 0, 4.0, directed=True)
         params = WalkParams(p=1.0, q=q, length=30)
         starts = np.arange(0, 30, 2)
         assert_same_walks(
@@ -142,21 +150,14 @@ class TestChunkPath:
             pipeline_mod._run_chunk(g, params, np.arange(n) % g.n_nodes, SEED, 0)
         assert calls == [LOCKSTEP_MIN_WALKS, 64]
 
-    def test_unweighted_graphs_keep_the_per_walk_path(self, monkeypatch):
+    def test_unit_weight_chunks_go_lockstep(self, monkeypatch):
         calls = self.spy(monkeypatch)
         g = ring_of_cliques(4, 8, seed=0)
-        for q in (1.0, 2.0):
-            batch, _ = pipeline_mod._run_chunk(
-                g, WalkParams(q=q, length=6), np.arange(32), SEED, 0
-            )
-            assert batch.data.shape == (32, 6)
-        assert calls == []
-
-    def test_one_uniform_per_step(self):
-        weighted = degree_corrected_sbm(60, 2, avg_degree=6, seed=0)
-        assert Node2VecWalker(weighted).one_uniform_per_step
-        assert not Node2VecWalker(weighted, strategy="rejection").one_uniform_per_step
-        assert not Node2VecWalker(ring_of_cliques(3, 4, seed=0)).one_uniform_per_step
+        params = WalkParams(length=6)
+        starts = np.arange(LOCKSTEP_MIN_WALKS)
+        batch, _ = pipeline_mod._run_chunk(g, params, starts, SEED, 0)
+        assert calls == [LOCKSTEP_MIN_WALKS]
+        assert_same_walks(per_walk(g, params, starts, 0), batch)
 
 
 class TestWalkBatch:

@@ -168,23 +168,6 @@ class TestStrategyEquivalence:
         b = self.empirical(graph, "rejection", t, 0)
         assert np.allclose(a, b, atol=0.02)
 
-    def test_fast_path_matches_general(self):
-        # q=1 fast path vs the generic categorical on the same graph
-        g = erdos_renyi(30, 0.25, seed=6)
-        t = int(g.neighbors(0)[0])
-        fast = Node2VecWalker(g, WalkParams(p=0.4, q=1.0), seed=12)
-        # force generic path by building a walker with non-unit weights
-        g2 = CSRGraph.from_edges(
-            g.n_nodes, *g.edge_array(return_weights=True)
-        )
-        assert np.allclose(g2.weights, 1.0)
-        generic = Node2VecWalker(g2, WalkParams(p=0.4, q=1.0), seed=12)
-        generic._unweighted = False  # disable fast path
-        n = 20_000
-        a = np.bincount([fast.step(t, 0) for _ in range(n)], minlength=g.n_nodes) / n
-        b = np.bincount([generic.step(t, 0) for _ in range(n)], minlength=g.n_nodes) / n
-        assert np.allclose(a, b, atol=0.02)
-
 
 class TestPropertyBased:
     @given(st.integers(min_value=0, max_value=500))
