@@ -165,9 +165,13 @@ class EmbeddingModel(abc.ABC):
             raise ValueError(
                 f"negatives must be (n_contexts={contexts.n}, ns), got {negatives.shape}"
             )
-        for name, arr in (("centers", contexts.centers),
-                          ("positives", contexts.positives),
-                          ("negatives", negatives)):
+        self._check_ids(
+            centers=contexts.centers, positives=contexts.positives,
+            negatives=negatives,
+        )
+        return negatives
+
+    def _check_ids(self, **arrays: np.ndarray) -> None:
+        for name, arr in arrays.items():
             if arr.size and (arr.min() < 0 or arr.max() >= self.n_nodes):
                 raise ValueError(f"{name} contain out-of-range node ids")
-        return negatives

@@ -78,7 +78,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.embedding.oselm import rank_k_update
+from repro.embedding.oselm import _work_buf, rank_k_update
 from repro.embedding.sequential import OSELMSkipGram
 from repro.hw.opcount import OpCount
 from repro.sampling.corpus import WalkContexts
@@ -193,17 +193,6 @@ class BatchRLSSkipGram(OSELMSkipGram):
             seed=seed,
         )
         self.defer_span = defer_span
-        # span-sized scratch, (re)allocated on span-shape change only (the
-        # hoisting ISSUE 9's small fix asks for): the hidden-gather target,
-        # the [positives | tiled negatives] sample matrix with its shared
-        # target vector, a per-dim scatter weight buffer, and the rank-k
-        # solver's work dict.  Contents are fully rewritten per span —
-        # reuse is bit-identical to fresh allocations.
-        self._span_shape = (0, 0, 0)
-        self._span_H = np.empty((0, dim), dtype=np.float64)
-        self._span_samples = np.empty((0, 0), dtype=np.int64)
-        self._span_w = np.empty((0, 0), dtype=np.float64)
-        self._rls_work: dict = {}
 
     # ------------------------------------------------------------------ #
 
@@ -214,27 +203,6 @@ class BatchRLSSkipGram(OSELMSkipGram):
         return self.defer_span == "chunk" or (
             isinstance(self.defer_span, int) and self.defer_span > 1
         )
-
-    def _ensure_span(self, k: int, J: int, ns: int) -> None:
-        """Hoisted span-entry (re)validation + buffer sizing: dtype/shape
-        checks and allocations happen once per span shape, not per call."""
-        if self._span_shape == (k, J, ns):
-            return
-        self._span_shape = (k, J, ns)
-        self._span_H = np.empty((k, self.dim), dtype=np.float64)
-        self._span_samples = np.empty((k, J + ns), dtype=np.int64)
-        self._span_w = np.empty((k, J + ns), dtype=np.float64)
-
-    def _check_span_ids(
-        self, centers: np.ndarray, positives: np.ndarray, negatives: np.ndarray
-    ) -> None:
-        for name, arr in (
-            ("centers", centers),
-            ("positives", positives),
-            ("negatives", negatives),
-        ):
-            if arr.size and (arr.min() < 0 or arr.max() >= self.n_nodes):
-                raise ValueError(f"{name} contain out-of-range node ids")
 
     # ------------------------------------------------------------------ #
 
@@ -289,21 +257,19 @@ class BatchRLSSkipGram(OSELMSkipGram):
             return
         J = positives.shape[1]
         ns = negatives.shape[1]
-        self._ensure_span(k, J, ns)
-        self._check_span_ids(centers, positives, negatives)
+        self._check_ids(centers=centers, positives=positives, negatives=negatives)
         lam = self.forgetting_factor
+        work = self._work  # span scratch: contents are rewritten per span
 
-        H = self.hidden_batch(centers, out=self._span_H)  # (k, d), span-start
-        K = rank_k_update(self.P, H, lam=lam, gain="batch", work=self._rls_work)
+        H = self.hidden_batch(centers, out=_work_buf(work, "span_H", (k, self.dim)))
+        K = rank_k_update(self.P, H, lam=lam, gain="batch", work=work)
 
         # positive errors against span-start B, one window column at a time
-        # (bounds the gather temporaries at (k, d))
-        w = self._span_w  # (k, J + ns): per-slot scatter weights
-        e_pos = w[:, :J]
+        # (bounds the gather temporaries at (k, d)), each into a contiguous
+        # row: einsum writes a strided column at half the speed
+        e_pos = _work_buf(work, "span_e", (J, k))
         for jj in range(J):
-            np.einsum(
-                "kd,kd->k", self.B[positives[:, jj]], H, out=e_pos[:, jj]
-            )
+            np.einsum("kd,kd->k", self.B[positives[:, jj]], H, out=e_pos[jj])
         np.subtract(1.0, e_pos, out=e_pos)
 
         shared = ns > 0 and bool((negatives == negatives[0]).all())
@@ -313,13 +279,15 @@ class BatchRLSSkipGram(OSELMSkipGram):
             nrow = negatives[0]
             e_neg = H @ self.B[nrow].T  # (k, ns), target 0
             np.add.at(self.B, nrow, (-float(J)) * (K @ e_neg).T)
-            self._scatter(positives, e_pos, K)
+            self._scatter(positives, e_pos.T, K)
         else:
             # general per-context negatives: join the weighted scatter
             e_neg = np.einsum("knd,kd->kn", self.B[negatives], H)
-            samples = self._span_samples  # (k, J + ns)
+            samples = _work_buf(work, "span_samples", (k, J + ns), np.int64)
             samples[:, :J] = positives
             samples[:, J:] = negatives
+            w = _work_buf(work, "span_w", (k, J + ns))  # per-slot weights
+            w[:, :J] = e_pos.T
             np.multiply(e_neg, -float(J), out=w[:, J:])
             self._scatter(samples, w, K)
         self.P[:] = (self.P + self.P.T) * 0.5
@@ -332,6 +300,7 @@ class BatchRLSSkipGram(OSELMSkipGram):
         span-start state, so scatter order is irrelevant."""
         k, S = cols.shape
         flat = cols.ravel()
+        w = np.ascontiguousarray(w)  # the per-dim products run twice as fast
         wk = np.empty((k, S), dtype=np.float64)  # one per span, outside loops
         if self.n_nodes <= _DIRECT_SCATTER_FACTOR * k * S:
             for j in range(self.dim):

@@ -6,7 +6,7 @@ software overhead the hardware removes; the execution-backend registry
 fills it in software: the ``"reference"`` backend's per-walk loops —
 Algorithm 1's per-context RLS recursion and the SGD baseline's per-window
 updates — rewritten as ``@njit(cache=True)`` kernels with **no objmode in
-the hot path**, plus a compiled scatter for the blocked rank-k kernel.
+the hot path**.
 
 Bit-exactness contract
 ----------------------
@@ -63,7 +63,6 @@ except ImportError:  # pragma: no cover - exercised on numba-free CI legs
 
 __all__ = [
     "NUMBA_AVAILABLE",
-    "blocked_scatter",
     "oselm_walk",
     "py_func",
     "sgd_walk",
@@ -249,33 +248,3 @@ def oselm_walk(
                 et = errs[t]
                 for e in range(d):
                     B[r, e] += et * gain[e]
-
-
-# ---------------------------------------------------------------------------#
-# blocked rank-k scatter: the bincount + unique-rows GEMM of BlockedKernel
-# ---------------------------------------------------------------------------#
-
-
-@_jit
-def blocked_scatter(B, rows, inv, E, K):
-    """The blocked kernel's one-pass scatter, compiled.
-
-    Reproduces ``M = bincount(inv + c*R, weights=E); B[rows] += M.T @ K.T``
-    (:func:`repro.embedding.kernels._train_oselm_blocked`): per-(row,
-    context) error coefficients accumulate in ``np.bincount``'s flat input
-    order, then one ``(R, k) @ (k, d)`` GEMM over the block's unique rows
-    lands every update.  Used only when numba is importable — the NumPy
-    form stays the (identical-contract) fallback.
-    """
-    k, S = inv.shape
-    R = rows.shape[0]
-    d = B.shape[1]
-    M = np.zeros((R, k), np.float64)
-    for c in range(k):
-        for s in range(S):
-            M[inv[c, s], c] += E[c, s]
-    upd = np.dot(M, np.ascontiguousarray(K.T))  # (R, k) @ (k, d)
-    for r in range(R):
-        row = rows[r]
-        for e in range(d):
-            B[row, e] += upd[r, e]

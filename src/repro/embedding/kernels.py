@@ -36,9 +36,9 @@ Backends
       RLS recursion is inherently sequential (context *i* reads the ``P``
       and ``β`` context *i−1* wrote), so the kernel keeps the exact
       per-context ordering but hoists every per-context allocation (the
-      sample/target assembly is one chunk-level ``concatenate``/``tile``)
-      out of the loop.  Given the same negatives this is **bit-identical**
-      to the reference batched duplicate policy.
+      sample/target assembly is staged once per chunk, like
+      ``"blocked"``'s) out of the loop.  Given the same negatives this is
+      **bit-identical** to the reference batched duplicate policy.
     * :class:`~repro.embedding.dataflow.DataflowOSELMSkipGram` — already
       walk-vectorized; the fused win is the bulk negative draw and the
       up-front context extraction.  Bit-identical given the same negatives.
@@ -49,7 +49,12 @@ Backends
     paper's *proposed* model, the one workload ``"fused"`` could only lift
     ~1.3× because Algorithm 1's per-context RLS recursion executes one tiny
     matvec at a time — runs in rank-k blocks, one block per walk (blocks
-    never cross a walk boundary):
+    never cross a walk boundary).  What does not depend on the recursion
+    is staged once per chunk: the contexts come out of one sliding-window
+    pass over the chunk's walks (:class:`ChunkContexts`), the input checks
+    run once, vectorized, and the ``[positives | tiled negatives]`` sample
+    matrix and its shared targets are built once, into buffers the model
+    reuses across chunks.  Per walk only the recursion's own work is left:
 
     1. one ``µ·B[centers]`` gather of the block's hidden rows against the
        block-start ``B`` (:meth:`~repro.embedding.sequential.OSELMSkipGram.hidden_batch`);
@@ -57,18 +62,21 @@ Backends
        ``S = λI + H_b P H_bᵀ``, Cholesky, square-root downdate
        ``P ← (P − Xᵀ X)/λ`` with ``X = L⁻¹ H_b P`` — via the shared
        :func:`repro.embedding.oselm.rank_k_update` (the k>1 form
-       ``OSELM.partial_fit`` already implements), re-symmetrizing ``P``
-       once per walk (a bitwise no-op while it is already symmetric);
+       ``OSELM.partial_fit`` already implements; LAPACK ``dpotrf`` and
+       ``dtrtrs`` called directly), re-symmetrizing ``P`` once per walk (a
+       bitwise no-op while it is already symmetric);
     3. the per-context *sequential* gains come out of the same
        factorization (``K = P H_bᵀ L⁻ᵀ D⁻¹``, i.e. column *i* is exactly
        the gain the rank-1 recursion would have produced at step *i* —
        the plain batch gain ``P H_bᵀ S⁻¹`` would couple contexts through
        ``S⁻¹`` and break the sequential equivalence);
     4. all ``(1+ns)·n_pos·k`` scatter updates of the block land in one
-       pass: per-(node, context) error coefficients accumulate through one
-       ``np.bincount``, then a single ``(R, k) @ (k, d)`` GEMM over the
-       block's R *unique* rows updates ``B`` (the GraphACT move — batch
-       the redundant update arithmetic, do the heavy math once per node).
+       pass: the block's R *unique* rows come out of an O(k·S) remap
+       through a node-indexed slot table (no sort), per-(row, context)
+       error coefficients accumulate through one ``np.bincount``, then a
+       single ``(R, k) @ (k, d)`` GEMM over those rows updates ``B`` (the
+       GraphACT move — batch the redundant update arithmetic, do the heavy
+       math once per node).
 
     Error analysis (the ``BLOCKED_RTOL`` contract)
         Within one block, the kernel differs from Algorithm 1's sequential
@@ -188,11 +196,11 @@ import numpy as np
 from repro.embedding import compiled as _compiled
 from repro.embedding.batch_rls import BatchRLSSkipGram
 from repro.embedding.dataflow import DataflowOSELMSkipGram
-from repro.embedding.oselm import rank_k_update
+from repro.embedding.oselm import _work_buf, rank_k_update
 from repro.embedding.sequential import _EPS, OSELMSkipGram
 from repro.embedding.skipgram import SkipGramSGD, _sigmoid
 from repro.hw.opcount import OpCount
-from repro.sampling.corpus import WalkContexts, contexts_from_walk
+from repro.sampling.corpus import WalkContexts, check_window
 from repro.sampling.negative import NegativeSampler
 from repro.utils.validation import check_in_set
 
@@ -322,15 +330,24 @@ class ChunkStats:
     ops: OpCount = field(default_factory=OpCount)
 
 
+def _train_walks(
+    model: EmbeddingModel, contexts: ChunkContexts, negatives: list[np.ndarray]
+) -> None:
+    """The model's own per-walk update, walk by walk."""
+    for ctx, negs in zip(contexts, negatives, strict=True):
+        model.train_walk(ctx, negs)
+
+
 class ExecBackend:
     """Base class for chunk execution backends.
 
     A backend runs one chunk in three stages so that tests (and future
     backends) can intercept the negative draws:
 
-    1. :func:`_context_blocks` — extract each walk's sliding-window
-       contexts, streamed in bounded blocks (walks too short for the
-       window drop out; :func:`prepare_contexts` is the one-shot form);
+    1. :func:`_context_blocks` — stage bounded blocks of walks as
+       :class:`ChunkContexts`, one sliding-window pass per block (walks too
+       short for the window drop out; :func:`prepare_contexts` is the
+       one-shot form);
     2. :meth:`draw_negatives` — produce one ``(C_i, ns)`` negative array
        per remaining walk (this stage owns the sampler's RNG stream and is
        where the backends' draw patterns differ);
@@ -343,9 +360,10 @@ class ExecBackend:
 
     Staging happens in internal blocks of at most :attr:`block_walks`
     walks, so peak memory is O(block) — never O(input): the sequential
-    trainer hands ``train_chunk`` a whole epoch corpus, and the contexts +
-    negatives expansion is ~(window + ns)× the walk bytes, which must not
-    all materialize at once on the edge deployments the repo targets.
+    trainer hands ``train_chunk`` a whole epoch corpus, whose staged
+    contexts, negatives and sample matrix (reused across blocks) are
+    ~window·(1 + ns)× the walk bytes and must not all materialize at once
+    on the edge deployments the repo targets.
     """
 
     #: registry name (set by subclasses)
@@ -386,7 +404,7 @@ class ExecBackend:
     def draw_negatives(
         self,
         sampler: NegativeSampler,
-        contexts: list[WalkContexts],
+        contexts: ChunkContexts,
         ns: int,
         negative_reuse: str,
         model: EmbeddingModel | None = None,
@@ -396,10 +414,32 @@ class ExecBackend:
     def train_prepared(
         self,
         model: EmbeddingModel,
-        contexts: list[WalkContexts],
+        contexts: ChunkContexts,
         negatives: list[np.ndarray],
     ) -> None:
-        raise NotImplementedError
+        """Dispatch on the model; backends differ in the plain OS-ELM and
+        SGD hooks, whose default is the model's own per-walk update."""
+        # subclass checks first: the deferred models are OSELMSkipGram
+        # subclasses with their own walk-vectorized updates
+        if self.spans_walks and getattr(model, "defer_crosses_walks", False):
+            _train_batch_rls_spans(model, contexts, negatives)
+        elif isinstance(model, OSELMSkipGram) and not isinstance(
+            model, (BatchRLSSkipGram, DataflowOSELMSkipGram)
+        ):
+            self._train_oselm(model, contexts, negatives)
+        elif isinstance(model, SkipGramSGD):
+            self._train_sgd(model, contexts, negatives)
+        else:
+            # batch_rls "walk"/1 spans clip at walk boundaries, where the
+            # model's own train_walk IS the span — the same calls on every
+            # backend, hence FUSED_RTOL["batch_rls"] = 0.0 (a cross-walk
+            # span on a walk-feeding backend raises from train_walk)
+            _train_walks(model, contexts, negatives)
+
+    #: the plain OS-ELM and SGD chunk kernels: by default the models' own
+    #: per-walk updates
+    _train_oselm = staticmethod(_train_walks)
+    _train_sgd = staticmethod(_train_walks)
 
     def train_chunk(
         self,
@@ -438,55 +478,99 @@ class ExecBackend:
         return f"{type(self).__name__}()"
 
 
+@dataclass(frozen=True, eq=False)
+class ChunkContexts:
+    """One staging block's contexts as flat arrays: walk ``i`` owns rows
+    ``offsets[i]:offsets[i + 1]`` of ``centers`` (T,) and ``positives``
+    (T, w−1).  Iterating yields each walk's :class:`WalkContexts` (views),
+    what the per-walk consumers take; the chunk kernels read the flat
+    arrays directly."""
+
+    centers: np.ndarray
+    positives: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def from_walks(cls, walks: list[np.ndarray], window: int) -> ChunkContexts:
+        """Every window of ``walks`` (each at least ``window`` long) in one
+        sliding-window pass over their concatenation."""
+        lengths = np.fromiter(map(len, walks), dtype=np.int64, count=len(walks))
+        counts = lengths - (window - 1)
+        offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+        if not walks:
+            return cls(offsets[:0], np.empty((0, window - 1), dtype=np.int64), offsets)
+        flat = np.concatenate(walks, dtype=np.int64)
+        # context t of walk i starts at walk i's start in flat + (t − offsets[i])
+        shift = np.repeat(np.cumsum(lengths) - lengths - offsets[:-1], counts)
+        starts = np.arange(offsets[-1]) + shift
+        windows = np.lib.stride_tricks.sliding_window_view(flat, window)
+        return cls(windows[starts, 0], windows[starts, 1:], offsets)
+
+    @property
+    def n(self) -> int:
+        """Contexts over all walks."""
+        return self.centers.shape[0]
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Contexts per walk."""
+        return np.diff(self.offsets)
+
+    def split(self, rows: np.ndarray) -> list[np.ndarray]:
+        """Per-walk views of a (T, …) array aligned with the contexts."""
+        o = self.offsets.tolist()
+        return [rows[lo:hi] for lo, hi in zip(o[:-1], o[1:])]
+
+    def __len__(self) -> int:
+        return self.offsets.shape[0] - 1
+
+    def __iter__(self) -> Iterator[WalkContexts]:
+        return map(WalkContexts, self.split(self.centers), self.split(self.positives))
+
+
 def _context_blocks(
     walks: Iterable[np.ndarray], window: int, block_walks: int
-) -> Iterator[list[WalkContexts]]:
-    """Lazily yield lists of ≤ ``block_walks`` extracted contexts,
-    dropping context-free walks (too short for the window) exactly like
-    the per-walk trainer did."""
-    block: list[WalkContexts] = []
+) -> Iterator[ChunkContexts]:
+    """Lazily yield blocks of ≤ ``block_walks`` walks' contexts, dropping
+    context-free walks (too short for the window) exactly like the
+    per-walk trainer did."""
+    check_window(window)
+    block: list[np.ndarray] = []
     for walk in walks:
-        ctx = contexts_from_walk(walk, window)
-        if not ctx.n:
+        if len(walk) < window:
             continue
-        block.append(ctx)
+        block.append(walk)
         if len(block) >= block_walks:
-            yield block
+            yield ChunkContexts.from_walks(block, window)
             block = []
     if block:
-        yield block
+        yield ChunkContexts.from_walks(block, window)
 
 
-def prepare_contexts(walks: Iterable[np.ndarray], window: int) -> list[WalkContexts]:
-    """Every walk's contexts as one list (a single unbounded block of
+def prepare_contexts(walks: Iterable[np.ndarray], window: int) -> ChunkContexts:
+    """Every walk's contexts as one block (a single unbounded block of
     :func:`_context_blocks` — same extraction and short-walk dropping
     rule).  Used by tests and one-shot callers that want the staged arrays
     without the blocking."""
-    out: list[WalkContexts] = []
     for block in _context_blocks(walks, window, sys.maxsize):
-        out.extend(block)
-    return out
+        return block
+    return ChunkContexts.from_walks([], window)
 
 
 def chunk_stats(
-    model: EmbeddingModel, contexts: list[WalkContexts], window: int, ns: int
+    model: EmbeddingModel, contexts: ChunkContexts, window: int, ns: int
 ) -> ChunkStats:
     """Walk/context counts + summed analytic op profile for one chunk.
 
     Profiles depend only on the context count, so walks are grouped by
-    ``ctx.n`` and each distinct profile is evaluated once — the grouped sum
-    keeps the op-count telemetry exact (profiles are integer-valued in
-    float64) without a per-walk ``op_profile`` call.
+    their context count and each distinct profile is evaluated once — the
+    grouped sum keeps the op-count telemetry exact (profiles are
+    integer-valued in float64) without a per-walk ``op_profile`` call.
     """
-    groups = Counter(ctx.n for ctx in contexts)
     ops = OpCount()
-    for n, count in groups.items():
+    for n, count in Counter(contexts.counts.tolist()).items():
         ops = ops + count * model.op_profile(model.dim, n, window - 1, ns)
-    return ChunkStats(
-        n_walks=len(contexts),
-        n_contexts=sum(ctx.n for ctx in contexts),
-        ops=ops,
-    )
+    return ChunkStats(n_walks=len(contexts), n_contexts=contexts.n, ops=ops)
 
 
 class ReferenceKernel(ExecBackend):
@@ -503,7 +587,7 @@ class ReferenceKernel(ExecBackend):
     def draw_negatives(
         self,
         sampler: NegativeSampler,
-        contexts: list[WalkContexts],
+        contexts: ChunkContexts,
         ns: int,
         negative_reuse: str,
         model: EmbeddingModel | None = None,
@@ -513,14 +597,147 @@ class ReferenceKernel(ExecBackend):
             for ctx in contexts
         ]
 
-    def train_prepared(
-        self,
-        model: EmbeddingModel,
-        contexts: list[WalkContexts],
-        negatives: list[np.ndarray],
-    ) -> None:
-        for ctx, negs in zip(contexts, negatives, strict=True):
-            model.train_walk(ctx, negs)
+
+def _stage_negatives(
+    model: OSELMSkipGram, chunk: ChunkContexts, negatives: list[np.ndarray]
+) -> np.ndarray:
+    """A chunk's negatives as one (T, ns) int64 array, with
+    :meth:`~repro.embedding.base.EmbeddingModel._check_walk_inputs` run
+    once per chunk: the same conditions and messages, every walk checked
+    before any is trained."""
+    counts = chunk.counts.tolist()
+    for n, negs in zip(counts, negatives, strict=True):
+        shape = np.shape(negs)
+        if len(shape) != 2 or shape[0] != n:
+            raise ValueError(f"negatives must be (n_contexts={n}, ns), got {shape}")
+    ns = np.shape(negatives[0])[1] if counts else 0
+    flat = _work_buf(model._work, "negatives", (chunk.n, ns), np.int64)
+    if counts:
+        np.concatenate(negatives, out=flat)
+    model._check_ids(
+        centers=chunk.centers, positives=chunk.positives, negatives=flat
+    )
+    return flat
+
+
+def _stage_samples(
+    model: OSELMSkipGram, chunk: ChunkContexts, negatives: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every context's samples ``[positives, tile(negatives, J)]`` as one
+    (T, S) matrix, with the (S,) targets all contexts share."""
+    J, ns = chunk.positives.shape[1], negatives.shape[1]
+    samples = _work_buf(model._work, "samples", (chunk.n, J * (1 + ns)), np.int64)
+    samples[:, :J] = chunk.positives
+    for j in range(J):
+        samples[:, J + j * ns : J + (j + 1) * ns] = negatives
+    targets = np.zeros(J * (1 + ns), dtype=np.float64)
+    targets[:J] = 1.0
+    return samples, targets
+
+
+def _train_oselm_fused(
+    model: OSELMSkipGram,
+    chunk: ChunkContexts,
+    negatives: list[np.ndarray],
+) -> None:
+    """One chunk of Algorithm 1 with every per-context allocation hoisted.
+
+    The RLS recursion itself stays sequential (context *i* reads the ``P``
+    and ``β`` written by context *i−1* — the exact dependency the paper's
+    Algorithm 2 breaks, which is a *different model* here), but the
+    per-context ``samples``/``targets`` assembly is staged once per chunk,
+    and the loop body runs on local bindings.  Given the same negatives
+    this is bit-identical to ``train_walk`` under the batched duplicate
+    policy; for ``duplicate_policy="sequential"`` it substitutes the
+    batched arithmetic (float-tolerance-close, see the model docstring).
+    """
+    negs = _stage_negatives(model, chunk, negatives)
+    samples, targets = _stage_samples(model, chunk, negs)
+    B, P = model.B, model.P
+    mu, lam = model.mu, model.forgetting_factor
+    tied = model.weight_tying == "beta"
+    alpha = model._alpha
+    standard = model.denominator == "standard"
+    centers = chunk.centers
+    for i in range(chunk.n):
+        H = mu * B[centers[i]] if tied else alpha[centers[i]]
+        Ph = P @ H
+        hph = float(H @ Ph)
+        if standard:
+            denom = lam + hph
+        else:  # literal Algorithm 1 line 5
+            denom = hph if abs(hph) > _EPS else _EPS
+        k = Ph / denom
+        P -= np.outer(k, Ph)
+        if lam != 1.0:
+            P /= lam
+        s = samples[i]
+        errs = targets - B[s] @ H
+        np.add.at(B, s, errs[:, None] * k[None, :])
+    model.n_walks_trained += len(chunk)
+
+
+def _train_sgd_fused(
+    model: SkipGramSGD, chunk: ChunkContexts, negatives: list[np.ndarray]
+) -> None:
+    """SGD skip-gram with weights frozen at each walk's start.
+
+    Per walk, every window's forward pass runs in two einsum batches
+    against the walk-start ``(W_in, W_out)``; gradients accumulate through
+    three ``np.add.at`` scatters applied once per walk.  Each negative is
+    trained once per window in the reference, so its frozen-weight
+    contribution scales by the window count ``J`` — the same treatment the
+    dataflow model applies to Algorithm 1.  Drift vs the sequential
+    reference is ``O(lr²)`` per window (see ``FUSED_RTOL``).
+    """
+    w_in, w_out = model.w_in, model.w_out
+    lr, d = model.lr, model.dim
+    for ctx, negs in zip(chunk, negatives, strict=True):
+        negs = model._check_walk_inputs(ctx, negs)
+        centers, positives = ctx.centers, ctx.positives
+        J = positives.shape[1]
+        h = w_in[centers]  # (C, d), frozen at walk start
+        pos_rows = w_out[positives]  # (C, J, d)
+        neg_rows = w_out[negs]  # (C, ns, d)
+        g_pos = lr * (1.0 - _sigmoid(np.einsum("cjd,cd->cj", pos_rows, h)))
+        g_neg = -lr * _sigmoid(np.einsum("ckd,cd->ck", neg_rows, h))
+        grad_h = np.einsum("cj,cjd->cd", g_pos, pos_rows) + float(J) * np.einsum(
+            "ck,ckd->cd", g_neg, neg_rows
+        )
+        np.add.at(
+            w_out, positives.ravel(), (g_pos[:, :, None] * h[:, None, :]).reshape(-1, d)
+        )
+        np.add.at(
+            w_out,
+            negs.ravel(),
+            (float(J) * g_neg[:, :, None] * h[:, None, :]).reshape(-1, d),
+        )
+        np.add.at(w_in, centers, grad_h)
+
+
+def _train_batch_rls_spans(
+    model: BatchRLSSkipGram,
+    chunk: ChunkContexts,
+    negatives: list[np.ndarray],
+) -> None:
+    """One staged block of a cross-walk-deferred ``batch_rls`` model.
+
+    The block's flat context stream advances the RLS state one rank-k span
+    (:meth:`~repro.embedding.batch_rls.BatchRLSSkipGram.train_span`) per
+    ``defer_span`` contexts — ``"chunk"`` makes the whole staged block a
+    single span, the maximal-GEMM setting.  The per-span negative rows
+    arrive pre-shared from :meth:`FusedKernel.draw_negatives` (one draw
+    per span).
+    """
+    negs = _stage_negatives(model, chunk, negatives)
+    total = chunk.n
+    if not total:  # every walk too short for a single context
+        return
+    span = total if model.defer_span == "chunk" else int(model.defer_span)
+    for lo in range(0, total, span):
+        hi = min(lo + span, total)
+        model.train_span(chunk.centers[lo:hi], chunk.positives[lo:hi], negs[lo:hi])
+    model.n_walks_trained += len(chunk)
 
 
 class FusedKernel(ExecBackend):
@@ -546,187 +763,118 @@ class FusedKernel(ExecBackend):
     def draw_negatives(
         self,
         sampler: NegativeSampler,
-        contexts: list[WalkContexts],
+        contexts: ChunkContexts,
         ns: int,
         negative_reuse: str,
         model: EmbeddingModel | None = None,
     ) -> list[np.ndarray]:
-        if negative_reuse == "per_walk" and getattr(
-            model, "defer_crosses_walks", False
-        ):
+        total = contexts.n
+        if negative_reuse == "per_context":
+            rows, row_of = total, np.arange(total)
+        elif getattr(model, "defer_crosses_walks", False):
             # one shared batch per *deferral span* (GraphACT-style
             # amortization): the span is the batch_rls model's reuse unit,
-            # so "per_walk" reads as per-span for cross-walk spans —
-            # one draw_batch row per span, broadcast over its contexts
-            total = sum(ctx.n for ctx in contexts)
+            # so "per_walk" reads as per-span for cross-walk spans
             span = total if model.defer_span == "chunk" else int(model.defer_span)
-            batch = sampler.draw_batch((total + span - 1) // span, ns)
-            flat = batch[np.arange(total) // span]
-            out, lo = [], 0
-            for ctx in contexts:
-                out.append(flat[lo : lo + ctx.n])
-                lo += ctx.n
-            return out
-        if negative_reuse == "per_walk":
-            batch = sampler.draw_batch(len(contexts), ns)
-            return [
-                np.broadcast_to(batch[i], (ctx.n, ns))
-                for i, ctx in enumerate(contexts)
-            ]
-        flat = sampler.draw_batch(sum(ctx.n for ctx in contexts), ns)
-        out, lo = [], 0
-        for ctx in contexts:
-            out.append(flat[lo : lo + ctx.n])
-            lo += ctx.n
-        return out
+            rows, row_of = (total + span - 1) // span, np.arange(total) // span
+        else:  # one row per walk, shared by its contexts
+            rows = len(contexts)
+            row_of = np.repeat(np.arange(rows), contexts.counts)
+        return contexts.split(sampler.draw_batch(rows, ns)[row_of])
 
-    def train_prepared(
-        self,
-        model: EmbeddingModel,
-        contexts: list[WalkContexts],
-        negatives: list[np.ndarray],
-    ) -> None:
-        # subclass checks first: the deferred models are OSELMSkipGram
-        # subclasses and are already walk-vectorized
-        if isinstance(model, BatchRLSSkipGram) and model.defer_crosses_walks:
-            _train_batch_rls_spans(model, contexts, negatives)
-        elif isinstance(model, (BatchRLSSkipGram, DataflowOSELMSkipGram)):
-            # batch_rls "walk"/1 spans clip at walk boundaries, where the
-            # model's own train_walk IS the span — the same calls the
-            # reference backend makes, hence FUSED_RTOL["batch_rls"] = 0.0
-            for ctx, negs in zip(contexts, negatives, strict=True):
-                model.train_walk(ctx, negs)
-        elif isinstance(model, OSELMSkipGram):
-            for ctx, negs in zip(contexts, negatives, strict=True):
-                self._train_oselm(model, ctx, negs)
-        elif isinstance(model, SkipGramSGD):
-            for ctx, negs in zip(contexts, negatives, strict=True):
-                _train_sgd_fused(model, ctx, negs)
-        else:  # any other EmbeddingModel: fall back to its own walk update
-            for ctx, negs in zip(contexts, negatives, strict=True):
-                model.train_walk(ctx, negs)
-
-    def _train_oselm(
-        self, model: OSELMSkipGram, ctx: WalkContexts, negatives: np.ndarray
-    ) -> None:
-        """One plain-OSELM walk — the seam :class:`BlockedKernel` overrides
-        with the rank-k block solve."""
-        _train_oselm_fused(model, ctx, negatives)
+    _train_oselm = staticmethod(_train_oselm_fused)
+    _train_sgd = staticmethod(_train_sgd_fused)
 
 
-def _train_oselm_fused(
-    model: OSELMSkipGram, ctx: WalkContexts, negatives: np.ndarray
-) -> None:
-    """One walk of Algorithm 1 with every per-context allocation hoisted.
-
-    The RLS recursion itself stays sequential (context *i* reads the ``P``
-    and ``β`` written by context *i−1* — the exact dependency the paper's
-    Algorithm 2 breaks, which is a *different model* here), but the
-    per-context ``samples``/``targets`` assembly collapses into one
-    chunk-level ``concatenate``+``tile``, and the loop body runs on local
-    bindings.  Given the same negatives this is bit-identical to
-    ``train_walk`` under the batched duplicate policy; for
-    ``duplicate_policy="sequential"`` it substitutes the batched arithmetic
-    (float-tolerance-close, see the model docstring).
-    """
-    negatives = model._check_walk_inputs(ctx, negatives)
-    positives = ctx.positives
-    C, J = positives.shape
-    ns = negatives.shape[1]
-    # per-context samples = [positives, tile(negatives, J)] — one allocation
-    # for the whole walk instead of one concatenate+tile per context
-    samples = np.concatenate([positives, np.tile(negatives, (1, J))], axis=1)
-    targets = np.concatenate(
-        [np.ones(J, dtype=np.float64), np.zeros(J * ns, dtype=np.float64)]
-    )
-    B, P = model.B, model.P
-    mu, lam = model.mu, model.forgetting_factor
-    tied = model.weight_tying == "beta"
-    alpha = model._alpha
-    standard = model.denominator == "standard"
-    centers = ctx.centers
-    for i in range(C):
-        H = mu * B[centers[i]] if tied else alpha[centers[i]]
-        Ph = P @ H
-        hph = float(H @ Ph)
-        if standard:
-            denom = lam + hph
-        else:  # literal Algorithm 1 line 5
-            denom = hph if abs(hph) > _EPS else _EPS
-        k = Ph / denom
-        P -= np.outer(k, Ph)
-        if lam != 1.0:
-            P /= lam
-        s = samples[i]
-        errs = targets - B[s] @ H
-        np.add.at(B, s, errs[:, None] * k[None, :])
-    model.n_walks_trained += 1
-
-
-def _train_sgd_fused(
-    model: SkipGramSGD, ctx: WalkContexts, negatives: np.ndarray
-) -> None:
-    """One walk of SGD skip-gram with weights frozen at walk start.
-
-    Every window's forward pass runs in two einsum batches against the
-    walk-start ``(W_in, W_out)``; gradients accumulate through three
-    ``np.add.at`` scatters applied once per walk.  Each negative is trained
-    once per window in the reference, so its frozen-weight contribution
-    scales by the window count ``J`` — the same treatment the dataflow
-    model applies to Algorithm 1.  Drift vs the sequential reference is
-    ``O(lr²)`` per window (see ``FUSED_RTOL``).
-    """
-    negatives = model._check_walk_inputs(ctx, negatives)
-    centers = ctx.centers
-    positives = ctx.positives
-    J = positives.shape[1]
-    w_in, w_out = model.w_in, model.w_out
-    lr = model.lr
-    h = w_in[centers]  # (C, d), frozen at walk start
-    pos_rows = w_out[positives]  # (C, J, d)
-    neg_rows = w_out[negatives]  # (C, ns, d)
-    g_pos = lr * (1.0 - _sigmoid(np.einsum("cjd,cd->cj", pos_rows, h)))
-    g_neg = -lr * _sigmoid(np.einsum("ckd,cd->ck", neg_rows, h))
-    grad_h = np.einsum("cj,cjd->cd", g_pos, pos_rows) + float(J) * np.einsum(
-        "ck,ckd->cd", g_neg, neg_rows
-    )
-    d = model.dim
-    np.add.at(w_out, positives.ravel(), (g_pos[:, :, None] * h[:, None, :]).reshape(-1, d))
-    np.add.at(
-        w_out,
-        negatives.ravel(),
-        (float(J) * g_neg[:, :, None] * h[:, None, :]).reshape(-1, d),
-    )
-    np.add.at(w_in, centers, grad_h)
-
-
-def _train_batch_rls_spans(
-    model: BatchRLSSkipGram,
-    contexts: list[WalkContexts],
+def _train_oselm_blocked(
+    model: OSELMSkipGram,
+    chunk: ChunkContexts,
     negatives: list[np.ndarray],
+    block_contexts: int | None = None,
 ) -> None:
-    """One staged block of a cross-walk-deferred ``batch_rls`` model.
+    """One chunk of Algorithm 1 executed in rank-k RLS blocks.
 
-    The block's walks concatenate into one flat context stream and every
-    ``defer_span`` contexts advance the RLS state through one rank-k span
-    (:meth:`~repro.embedding.batch_rls.BatchRLSSkipGram.train_span`) —
-    ``"chunk"`` makes the whole staged block a single span, the
-    maximal-GEMM setting.  The per-span negative rows arrive pre-shared
-    from :meth:`FusedKernel.draw_negatives` (one draw per span).
+    The chunk is staged once (:func:`_stage_negatives`,
+    :func:`_stage_samples`); then each block (≤ ``block_contexts``
+    contexts, never crossing a walk; ``None``, what :class:`BlockedKernel`
+    runs, makes each walk one block; the tests use smaller blocks to pin
+    the error analysis) gathers its hidden rows against block-start ``B``,
+    runs one Woodbury solve (:func:`repro.embedding.oselm.rank_k_update`)
+    with *sequential* gains, computes every sample error against
+    block-start ``B`` and reduces the ``(1+ns)·n_pos·k`` scatter updates to
+    one ``np.bincount`` of per-(row, context) coefficients plus one
+    ``(R, k) @ (k, d)`` GEMM over the block's R unique rows (see the module
+    docstring for the exactness/drift contract).
     """
-    if not contexts:  # every walk too short for a single context
+    if model.denominator != "standard":
+        # literal Algorithm 1 line 5 (denom = hph) has no SPD block form —
+        # those models keep the per-context fused kernel
+        _train_oselm_fused(model, chunk, negatives)
         return
-    centers = np.concatenate([ctx.centers for ctx in contexts])
-    positives = np.concatenate([ctx.positives for ctx in contexts], axis=0)
-    negs = np.concatenate(
-        [np.asarray(n, dtype=np.int64) for n in negatives], axis=0
-    )
-    total = centers.shape[0]
-    span = total if model.defer_span == "chunk" else int(model.defer_span)
-    for lo in range(0, total, span):
-        hi = min(lo + span, total)
-        model.train_span(centers[lo:hi], positives[lo:hi], negs[lo:hi])
-    model.n_walks_trained += len(contexts)
+    negs = _stage_negatives(model, chunk, negatives)
+    samples, targets = _stage_samples(model, chunk, negs)
+    S = samples.shape[1]
+    B, P = model.B, model.P
+    lam = model.forgetting_factor
+    work = model._work
+    kmax = int(chunk.counts.max(initial=0))
+    # node-indexed slot table of the row remap: every entry a block reads
+    # was written by that block, so it is never reset
+    slot = _work_buf(work, "slot", (model.n_nodes,), np.int64)
+    pos = np.arange(kmax * S)
+    cols = np.arange(kmax)[:, None]
+    sym = _work_buf(work, "sym", P.shape, np.float64)
+    offsets = chunk.offsets.tolist()
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        step = hi - lo if block_contexts is None else block_contexts
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            k = b - a
+            H = model.hidden_batch(
+                chunk.centers[a:b], out=_work_buf(work, "H", (k, model.dim))
+            )
+            # P update + per-context sequential gains, one Cholesky solve
+            K = rank_k_update(P, H, lam=lam, gain="sequential", work=work)
+            s = samples[a:b]  # (k, S)
+            # the block's R distinct rows and each slot's index into them,
+            # through the node-indexed slot table — O(k·S), no sort: every
+            # id's entry first takes one of its positions (the last write
+            # wins), and the positions that won are the distinct rows
+            flat = s.ravel()
+            m = flat.shape[0]
+            slot[flat] = pos[:m]
+            rows = flat[slot[flat] == pos[:m]]
+            R = rows.shape[0]
+            slot[rows] = pos[:R]
+            # every slot's (row, context) pair, flat in (R, k) layout
+            idx = slot[s]
+            idx *= k
+            idx += cols[:k]
+            # errors against block-start B.  Two equivalent contractions;
+            # the (deterministic, shape-only) branch picks the cheaper one:
+            # duplicate-heavy blocks (small graphs: R ≪ k·S) predict once
+            # per unique row and pick the (row, context) pairs out, while
+            # duplicate-light blocks (large graphs: R ≈ k·S) contract each
+            # slot directly — the unique-row GEMM would compute k
+            # predictions per row and discard k−1 of them.
+            Br = B[rows]  # (R, d)
+            if 3 * R <= k * S:
+                E = targets - np.take(Br @ H.T, idx)
+            else:
+                E = targets - np.einsum("ksd,kd->ks", B[s], H)
+            # one scatter pass: per-(row, context) coefficients via
+            # bincount, then a single GEMM over the block's unique rows
+            # lands every update (duplicates accumulate, matching the
+            # batched duplicate policy)
+            M = np.bincount(idx.ravel(), weights=E.ravel(), minlength=R * k)
+            Br += M.reshape(R, k) @ K.T
+            B[rows] = Br
+        # square-root downdates keep P symmetric by construction;
+        # re-symmetrize once per walk so eps-level GEMM residue cannot
+        # compound (bitwise no-op while P is already symmetric)
+        np.add(P, P.T, out=sym)
+        np.multiply(sym, 0.5, out=P)
+    model.n_walks_trained += len(chunk)
 
 
 class BlockedKernel(FusedKernel):
@@ -748,92 +896,7 @@ class BlockedKernel(FusedKernel):
         "documented O(mu^2*k) staleness vs reference)"
     )
 
-    def _train_oselm(
-        self, model: OSELMSkipGram, ctx: WalkContexts, negatives: np.ndarray
-    ) -> None:
-        if model.denominator != "standard":
-            # literal Algorithm 1 line 5 (denom = hph) has no SPD block
-            # form — keep the per-context fused kernel for those models
-            _train_oselm_fused(model, ctx, negatives)
-            return
-        _train_oselm_blocked(model, ctx, negatives)
-
-
-def _train_oselm_blocked(
-    model: OSELMSkipGram,
-    ctx: WalkContexts,
-    negatives: np.ndarray,
-    block_contexts: int | None = None,
-) -> None:
-    """One walk of Algorithm 1 executed in rank-k RLS blocks.
-
-    Per block (≤ ``block_contexts`` contexts, never crossing the walk;
-    ``None`` — what :class:`BlockedKernel` runs — makes the whole walk one
-    block, and the tests use smaller blocks to pin the error analysis):
-    gather the hidden rows against block-start ``B``, run one shared
-    Woodbury solve (:func:`repro.embedding.oselm.rank_k_update`) with
-    *sequential* gains, compute every sample error against block-start
-    ``B``, reduce the ``(1+ns)·n_pos·k`` scatter updates to one
-    ``np.bincount`` of per-(row, context) coefficients plus one
-    ``(R, k) @ (k, d)`` GEMM over the block's unique rows.  See the module
-    docstring for the exactness/drift contract.
-    """
-    negatives = model._check_walk_inputs(ctx, negatives)
-    positives = ctx.positives
-    C, J = positives.shape
-    ns = negatives.shape[1]
-    # per-context samples = [positives, tile(negatives, J)], assembled once
-    # per walk; targets are shared by every block
-    samples = np.concatenate([positives, np.tile(negatives, (1, J))], axis=1)
-    targets = np.concatenate(
-        [np.ones(J, dtype=np.float64), np.zeros(J * ns, dtype=np.float64)]
-    )
-    B, P = model.B, model.P
-    lam = model.forgetting_factor
-    step = C if block_contexts is None else block_contexts
-    for lo in range(0, C, step):
-        hi = min(lo + step, C)
-        k = hi - lo
-        H = model.hidden_batch(ctx.centers[lo:hi])  # (k, d), block-start B
-        # P update + per-context sequential gains, one Cholesky solve
-        K = rank_k_update(P, H, lam=lam, gain="sequential")  # (d, k)
-        s = samples[lo:hi]  # (k, S)
-        rows, inv = np.unique(s.ravel(), return_inverse=True)
-        R = rows.shape[0]
-        inv = inv.reshape(k, -1)
-        # errors against block-start B.  Two equivalent contractions; the
-        # (deterministic, shape-only) branch picks the cheaper one:
-        # duplicate-heavy blocks (small graphs: R ≪ k·S) predict once per
-        # unique row and fancy-index the (row, context) pairs out, while
-        # duplicate-light blocks (large graphs: R ≈ k·S) contract each slot
-        # directly — the unique-row GEMM would compute k predictions per
-        # row and discard k−1 of them.
-        if 3 * R <= k * s.shape[1]:
-            Z = B[rows] @ H.T  # (R, k)
-            E = targets[None, :] - Z[inv, np.arange(k)[:, None]]  # (k, S)
-        else:
-            E = targets[None, :] - np.einsum("ksd,kd->ks", B[s], H)
-        # one scatter pass: per-(row, context) coefficients via bincount,
-        # then a single GEMM over the block's unique rows lands every
-        # update (duplicates accumulate, matching the batched duplicate
-        # policy).  With numba the whole pass runs as one compiled kernel
-        # (same accumulation order, same GEMM — inside BLOCKED_RTOL's
-        # eps-level headroom); the NumPy form is the identical-contract
-        # fallback.
-        if _compiled.NUMBA_AVAILABLE:
-            _compiled.blocked_scatter(B, rows, np.ascontiguousarray(inv), E, K)
-        else:
-            M = np.bincount(
-                (inv + np.arange(k)[:, None] * R).ravel(),
-                weights=E.ravel(),
-                minlength=k * R,
-            ).reshape(k, R)
-            B[rows] += M.T @ K.T
-    # square-root downdates keep P symmetric by construction; re-symmetrize
-    # once per walk so eps-level GEMM residue cannot compound (bitwise
-    # no-op while P is already symmetric)
-    P[:] = (P + P.T) * 0.5
-    model.n_walks_trained += 1
+    _train_oselm = staticmethod(_train_oselm_blocked)
 
 
 class CompiledKernel(ReferenceKernel):
@@ -877,11 +940,10 @@ class CompiledKernel(ReferenceKernel):
             )
         self.mode = mode
         self.fallback = mode == "auto" and not _compiled.NUMBA_AVAILABLE
-        if self.fallback:
+        if self.fallback:  # it IS reference: bit-identical by construction
             _compiled.warn_fallback()
             self.block_walks = 1
-            self._sgd_walk = None
-            self._oselm_walk = None
+            self._train_oselm = self._train_sgd = _train_walks
         elif mode == "python":
             self._sgd_walk = _compiled.py_func(_compiled.sgd_walk)
             self._oselm_walk = _compiled.py_func(_compiled.oselm_walk)
@@ -895,64 +957,43 @@ class CompiledKernel(ReferenceKernel):
             return f"{self.name}[fallback={ReferenceKernel.name}]"
         return self.name
 
-    def train_prepared(
+    def _train_oselm(
         self,
-        model: EmbeddingModel,
-        contexts: list[WalkContexts],
+        model: OSELMSkipGram,
+        contexts: ChunkContexts,
         negatives: list[np.ndarray],
     ) -> None:
-        if self.fallback:  # bit-identical by construction: it IS reference
-            super().train_prepared(model, contexts, negatives)
-            return
-        # subclass checks first, mirroring FusedKernel: the deferred models
-        # are OSELMSkipGram subclasses with their own walk-vectorized
-        # updates (already batched NumPy — train_walk as-is).  batch_rls
-        # reaches here only at defer_span="walk"/1 (train_chunk rejects
-        # cross-walk spans for walk-feeding backends), where its train_walk
-        # is the reference arithmetic verbatim — bit-identity preserved.
-        if isinstance(model, (BatchRLSSkipGram, DataflowOSELMSkipGram)):
-            for ctx, negs in zip(contexts, negatives, strict=True):
-                model.train_walk(ctx, negs)
-        elif isinstance(model, OSELMSkipGram):
-            for ctx, negs in zip(contexts, negatives, strict=True):
-                self._train_oselm(model, ctx, negs)
-        elif isinstance(model, SkipGramSGD):
-            for ctx, negs in zip(contexts, negatives, strict=True):
-                self._train_sgd(model, ctx, negs)
-        else:  # any other EmbeddingModel: its own walk update
-            for ctx, negs in zip(contexts, negatives, strict=True):
-                model.train_walk(ctx, negs)
-
-    def _train_oselm(
-        self, model: OSELMSkipGram, ctx: WalkContexts, negatives: np.ndarray
-    ) -> None:
-        negatives = model._check_walk_inputs(ctx, negatives)
         tied = model.weight_tying == "beta"
         # alpha is typed as a float64 matrix in the kernel signature; under
         # beta tying it is never read, so pass B as the placeholder
         alpha = model.B if model._alpha is None else model._alpha
-        self._oselm_walk(
-            model.B,
-            model.P,
-            model.mu,
-            model.forgetting_factor,
-            tied,
-            alpha,
-            model.denominator == "standard",
-            model.duplicate_policy == "sequential",
-            ctx.centers,
-            ctx.positives,
-            negatives,
-        )
-        model.n_walks_trained += 1
+        for ctx, negs in zip(contexts, negatives, strict=True):
+            self._oselm_walk(
+                model.B,
+                model.P,
+                model.mu,
+                model.forgetting_factor,
+                tied,
+                alpha,
+                model.denominator == "standard",
+                model.duplicate_policy == "sequential",
+                ctx.centers,
+                ctx.positives,
+                model._check_walk_inputs(ctx, negs),
+            )
+            model.n_walks_trained += 1
 
     def _train_sgd(
-        self, model: SkipGramSGD, ctx: WalkContexts, negatives: np.ndarray
+        self,
+        model: SkipGramSGD,
+        contexts: ChunkContexts,
+        negatives: list[np.ndarray],
     ) -> None:
-        negatives = model._check_walk_inputs(ctx, negatives)
-        self._sgd_walk(
-            model.w_in, model.w_out, model.lr, ctx.centers, ctx.positives, negatives
-        )
+        for ctx, negs in zip(contexts, negatives, strict=True):
+            self._sgd_walk(
+                model.w_in, model.w_out, model.lr, ctx.centers, ctx.positives,
+                model._check_walk_inputs(ctx, negs),
+            )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(mode={self.mode!r})"

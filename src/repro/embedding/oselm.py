@@ -33,17 +33,13 @@ from __future__ import annotations
 # reprolint: kernel-module — hot-loop allocation and dtype discipline are
 # enforced here (tools/reprolint; see README "Static analysis & typing")
 
+import functools
+
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_in_set, check_positive
-
-try:  # scipy is the normal toolchain; keep a pure-NumPy fallback anyway
-    from scipy.linalg import solve_triangular as _solve_triangular
-except ImportError:  # pragma: no cover - exercised only without scipy
-    def _solve_triangular(a, b, *, lower=False, trans=0):
-        a = a.T if trans in (1, "T") else a
-        return np.linalg.solve(a, b)
 
 __all__ = ["OSELM", "rank_k_update"]
 
@@ -54,27 +50,27 @@ __all__ = ["OSELM", "rank_k_update"]
 _SYM_PERIOD = 64
 
 
-def _work_buf(work: dict | None, key: str, shape: tuple) -> np.ndarray:
-    """A float64 scratch array from ``work`` (reallocated on shape change),
-    or a fresh allocation when no work dict is supplied."""
+def _work_buf(work: dict | None, key: str, shape: tuple,
+              dtype: type = np.float64) -> np.ndarray:
+    """A ``shape`` scratch array from ``work``, or a fresh allocation when
+    no work dict is supplied.  The buffer is reallocated when a trailing
+    dimension changes or ``shape[0]`` outgrows it; a shorter request gets
+    its leading rows (chunks vary in context count)."""
     if work is None:
-        return np.empty(shape, dtype=np.float64)
+        return np.empty(shape, dtype=dtype)
     buf = work.get(key)
-    if buf is None or buf.shape != shape:
-        buf = np.empty(shape, dtype=np.float64)
+    if buf is None or buf.shape[0] < shape[0] or buf.shape[1:] != shape[1:]:
+        buf = np.empty(shape, dtype=dtype)
         work[key] = buf
-    return buf
+    return buf[: shape[0]]
 
 
-def _work_eye(work: dict | None, d: int) -> np.ndarray:
-    """A cached d×d identity (read-only by convention: only ever passed as
-    the right-hand side of triangular solves)."""
-    if work is None:
-        return np.eye(d, dtype=np.float64)
-    eye = work.get("eye")
-    if eye is None or eye.shape[0] != d:
-        eye = np.eye(d, dtype=np.float64)
-        work["eye"] = eye
+@functools.cache
+def _eye(d: int) -> np.ndarray:
+    """A shared read-only d×d identity (the right-hand side of the
+    information form's triangular inversions)."""
+    eye = np.eye(d, dtype=np.float64)
+    eye.flags.writeable = False
     return eye
 
 
@@ -121,6 +117,18 @@ def rank_k_update(P: np.ndarray, H: np.ndarray, *, lam: float = 1.0,
     return _rank_k_woodbury(P, H, lam, gain, work)
 
 
+def _lapack(result: tuple[np.ndarray, int]) -> np.ndarray:
+    """The array of a LAPACK ``(array, info)`` return.  A failed
+    factorization raises :class:`numpy.linalg.LinAlgError`, as
+    :func:`numpy.linalg.cholesky` does."""
+    out, info = result
+    if info:
+        raise np.linalg.LinAlgError(
+            f"LAPACK info={info}: matrix not positive definite or singular"
+        )
+    return out
+
+
 def _rank_k_woodbury(P: np.ndarray, H: np.ndarray, lam: float, gain: str,
                      work: dict | None) -> np.ndarray:
     """The Woodbury rank-k step (see :func:`rank_k_update`).
@@ -130,24 +138,26 @@ def _rank_k_woodbury(P: np.ndarray, H: np.ndarray, lam: float, gain: str,
     ``X = L⁻¹ H P``, ``P ← (P − Xᵀ X)/λ`` — which needs no explicit inverse
     (two triangular solves replace ``inv(S)``) and keeps ``P`` symmetric by
     construction.  O(k³ + k·d²): the right tool while blocks stay
-    walk-sized (k ≲ d).
+    walk-sized (k ≲ d).  ``X`` and the returned gain live in the ``G``
+    buffer.
     """
     k, d = H.shape
     G = _work_buf(work, "G", (d, k))
     np.matmul(P, H.T, out=G)                        # (d, k)
     S = _work_buf(work, "S", (k, k))
     np.matmul(H, G, out=S)
-    S[np.diag_indices(k)] += lam
-    L = np.linalg.cholesky(S)
-    X = _solve_triangular(L, G.T, lower=True)       # (k, d) = L⁻¹ H P
+    S.ravel()[:: k + 1] += lam
+    L = _lapack(dpotrf(S, lower=1, clean=0))        # upper triangle unused
+    X = _lapack(dtrtrs(L, G.T, lower=1, overwrite_b=1))  # (k, d) = L⁻¹ H P
     XtX = _work_buf(work, "XtX", (d, d))
     np.matmul(X.T, X, out=XtX)
     P -= XtX
     if lam != 1.0:
         P /= lam
     if gain == "sequential":
-        return X.T / np.diag(L)[None, :]
-    return _solve_triangular(L, X, lower=True, trans="T").T  # (L⁻ᵀX)ᵀ = G S⁻¹
+        return np.divide(X.T, L.diagonal(), out=X.T)
+    # (L⁻ᵀ X)ᵀ = G S⁻¹
+    return _lapack(dtrtrs(L, X, lower=1, trans=1, overwrite_b=1)).T
 
 
 def _rank_k_information(P: np.ndarray, H: np.ndarray, lam: float,
@@ -166,11 +176,16 @@ def _rank_k_information(P: np.ndarray, H: np.ndarray, lam: float,
     ``P = Zᵀ Z + SPD correction``); ``P ← A⁻¹`` comes out of a second
     Cholesky as ``Zᵀ Z`` (symmetric PD by construction, like the square-root
     downdate); the gain is one (d, k) GEMM ``K = P_post Hᵀ``.
+
+    The two factorizations stay with :func:`numpy.linalg.cholesky`: they
+    run once per span, where call overhead is moot, and numpy's and scipy's
+    wheels each bundle their own OpenBLAS, whose ``potrf`` results can
+    differ in the last bit — numpy's factor keeps span-trained tables
+    independent of the scipy build.
     """
     d = P.shape[0]
-    eye = _work_eye(work, d)
-    Lp = np.linalg.cholesky(P)
-    Y = _solve_triangular(Lp, eye, lower=True)      # Lp⁻¹ ⇒ P⁻¹ = Yᵀ Y
+    eye = _eye(d)
+    Y = _lapack(dtrtrs(np.linalg.cholesky(P), eye, lower=1))  # P⁻¹ = Yᵀ Y
     A = _work_buf(work, "A", (d, d))
     np.matmul(Y.T, Y, out=A)
     if lam != 1.0:
@@ -178,8 +193,7 @@ def _rank_k_information(P: np.ndarray, H: np.ndarray, lam: float,
     HtH = _work_buf(work, "HtH", (d, d))
     np.matmul(H.T, H, out=HtH)
     A += HtH
-    La = np.linalg.cholesky(A)
-    Z = _solve_triangular(La, eye, lower=True)      # La⁻¹ ⇒ A⁻¹ = Zᵀ Z
+    Z = _lapack(dtrtrs(np.linalg.cholesky(A), eye, lower=1))  # A⁻¹ = Zᵀ Z
     np.matmul(Z.T, Z, out=P)                        # P ← P_post, symmetric
     K = _work_buf(work, "K", (d, H.shape[0]))
     np.matmul(P, H.T, out=K)

@@ -151,6 +151,9 @@ class OSELMSkipGram(EmbeddingModel):
         self._ctx_samples = np.empty(0, dtype=np.int64)
         self._ctx_targets = np.empty(0, dtype=np.float64)
         self._ctx_shape = (0, 0)
+        #: named scratch buffers of the chunk kernels and the rank-k solver
+        #: (:mod:`repro.embedding.kernels`), reused across chunks
+        self._work: dict = {}
 
     # ------------------------------------------------------------------ #
 
@@ -192,8 +195,8 @@ class OSELMSkipGram(EmbeddingModel):
         fully rewritten, so reuse is bit-identical to a fresh allocation.
         """
         if self.weight_tying == "beta":
-            H = np.take(self.B, centers, axis=0, out=out)
-            return np.multiply(H, self.mu, out=H)
+            # take(out=...) buffers its output; the plain gather is faster
+            return np.multiply(self.B[centers], self.mu, out=out)
         return np.take(self._alpha, centers, axis=0, out=out)
 
     def _gain(self, H: np.ndarray) -> np.ndarray:

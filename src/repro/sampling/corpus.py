@@ -22,7 +22,10 @@ import numpy as np
 
 from repro.utils.validation import check_positive
 
-__all__ = ["WalkContexts", "contexts_from_walk", "corpus_contexts", "n_contexts"]
+__all__ = [
+    "WalkContexts", "check_window", "contexts_from_walk", "corpus_contexts",
+    "n_contexts",
+]
 
 
 def n_contexts(walk_length: int, window: int) -> int:
@@ -60,15 +63,20 @@ class WalkContexts:
             yield int(self.centers[i]), self.positives[i]
 
 
+def check_window(window: int) -> None:
+    """A context window holds its center and at least one positive."""
+    check_positive("window", window, integer=True)
+    if window < 2:
+        raise ValueError("window must be >= 2 (needs at least one positive)")
+
+
 def contexts_from_walk(walk: np.ndarray, window: int) -> WalkContexts:
     """Slide a ``window``-sized window over ``walk``.
 
     Walks shorter than the window produce zero contexts (the dynamic
     scenario can generate stubby walks from low-degree nodes).
     """
-    check_positive("window", window, integer=True)
-    if window < 2:
-        raise ValueError("window must be >= 2 (needs at least one positive)")
+    check_window(window)
     walk = np.asarray(walk, dtype=np.int64)
     c = n_contexts(walk.shape[0], window)
     if c == 0:

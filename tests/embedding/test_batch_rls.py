@@ -313,9 +313,9 @@ class TestSharedNegativeBatches:
 
 
 class TestSpanScratchReuse:
-    """The hoisted span-entry validation + ``out=`` buffer reuse must be
-    bit-identical to fresh allocations, including across span-shape
-    collisions (grow → shrink → regrow)."""
+    """Reusing the span scratch buffers (``out=`` into the model's work
+    dict) must be bit-identical to fresh allocations, including across
+    span-shape collisions (grow → shrink → regrow)."""
 
     def test_shape_collision_bit_identical(self):
         n_nodes, dim = 60, 8
@@ -328,9 +328,8 @@ class TestSpanScratchReuse:
             positives = rng.integers(0, n_nodes, size=(k, WINDOW - 1))
             negs = rng.integers(0, n_nodes, size=(k, NS))
             a.train_span(centers, positives, negs)
-            # force fresh allocations + a fresh solver work dict on b
-            b._span_shape = (0, 0, 0)
-            b._rls_work = {}
+            # force fresh scratch buffers on b
+            b._work = {}
             b.train_span(centers, positives, negs)
         assert np.array_equal(a.B, b.B)
         assert np.array_equal(a.P, b.P)

@@ -124,6 +124,41 @@ class TestStability:
             assert np.linalg.eigvalsh(block.P).min() > 0, seed
         assert n_diverged >= 3
 
+    def test_large_mu_breaks_b_before_p(self):
+        """At μ = 0.1 the same stress case breaks block RLS too, and B goes
+        first: on the seeds that raise LinAlgError (the information form's
+        Cholesky of P, or of A = λ·P⁻¹ + HᵀH), max|B| has already passed
+        1e6 — P has collapsed toward zero with it, so the failed
+        factorization is a symptom of the divergence, not a numerical loss
+        of definiteness in a bounded run."""
+        from repro.graph import ring_of_cliques
+        from repro.sampling import NegativeSampler, Node2VecWalker, WalkParams
+
+        g = ring_of_cliques(6, 8, seed=0)
+        n_raised = 0
+        for seed in range(5):
+            block = block_model(
+                g.n_nodes, 16, mu=0.1, p0=10.0, init_scale=1.0, seed=seed
+            )
+            walker = Node2VecWalker(g, WalkParams(0.5, 1.0, 30, 5), seed=seed)
+            walks = walker.simulate()
+            sampler = NegativeSampler.from_walks(walks, g.n_nodes, seed=seed)
+            peak = np.abs(block.B).max()
+            with np.errstate(all="ignore"):
+                for w in walks:
+                    ctx = contexts_from_walk(w, 5)
+                    if ctx.n == 0:
+                        continue
+                    negs = sampler.sample_for_walk(ctx.n, 5, reuse="per_walk")
+                    try:
+                        block.train_walk(ctx, negs)
+                    except np.linalg.LinAlgError:
+                        assert peak > 1e6, (seed, peak)
+                        n_raised += 1
+                        break
+                    peak = max(peak, np.abs(block.B).max())
+        assert n_raised >= 1
+
     def test_learns_communities(self):
         rng = np.random.default_rng(0)
         m = block_model(6, 8, mu=0.05, seed=0)

@@ -13,7 +13,10 @@ Pinned here, mirroring the fused contract in ``test_kernels.py``:
   models × duplicate policies (hypothesis property tests, shared
   pre-drawn negatives isolating the arithmetic);
 * P stays exactly symmetric (the square-root downdate + per-walk
-  re-symmetrization).
+  re-symmetrization);
+* chunk staging is invisible: a chunk trains bit-for-bit like one call per
+  walk in both error-branch regimes and both tyings, and an out-of-range
+  id anywhere in a chunk raises before any walk is trained.
 """
 
 import numpy as np
@@ -59,15 +62,14 @@ def reuse_for(name):
 
 class SubWalkBlocks:
     """Blocks of ``block_contexts`` contexts within each walk, through the
-    blocked kernel's private per-walk entry point — the seam that pins the
+    blocked kernel's private chunk entry point — the seam that pins the
     O(µ²·k) analysis at block sizes the backend itself never runs."""
 
     def __init__(self, block_contexts):
         self.block_contexts = block_contexts
 
     def train_prepared(self, model, contexts, negatives):
-        for ctx, negs in zip(contexts, negatives, strict=True):
-            _train_oselm_blocked(model, ctx, negs, self.block_contexts)
+        _train_oselm_blocked(model, contexts, negatives, self.block_contexts)
 
 
 def run_pair(name, walks, n_nodes, other, *, window=WINDOW, dim=8, seed=7, **kw):
@@ -318,6 +320,100 @@ class TestBlockedToleranceContract:
         )
         scale = max(np.abs(a.embedding).max(), 1.0)
         assert np.abs(a.embedding - b.embedding).max() <= BLOCKED_EXACT_RTOL * scale
+
+
+@st.composite
+def ragged_walks(draw, n_nodes):
+    """Up to six walks of 1–24 nodes: some shorter than the window, which
+    must drop out of the chunk."""
+    n_walks = draw(st.integers(min_value=1, max_value=6))
+    seed = draw(st.integers(min_value=0, max_value=2**20))
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, 25, size=n_walks)
+    return [rng.integers(0, n_nodes, size=n) for n in lengths], seed
+
+
+#: (n_nodes, window) regimes: a small graph makes blocks duplicate-heavy
+#: (3R ≤ k·S: errors through the unique-row GEMM); a large graph at window 2
+#: makes them duplicate-light (errors contracted per slot)
+REGIMES = (
+    pytest.param(16, WINDOW, id="duplicate-heavy"),
+    pytest.param(20_000, 2, id="duplicate-light"),
+)
+
+
+class TestChunkStaging:
+    """``"blocked"`` stages a chunk once (contexts, input checks, sample
+    matrix, row remap) and keeps only the recursion per walk: a chunk must
+    train exactly like one call per walk."""
+
+    @pytest.mark.parametrize("tying", ("beta", "alpha"))
+    @pytest.mark.parametrize("n_nodes, window", REGIMES)
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_chunk_equals_one_call_per_walk(self, tying, n_nodes, window, data):
+        walks, seed = data.draw(ragged_walks(n_nodes))
+        contexts = prepare_contexts(walks, window)
+        assert contexts.counts.tolist() == [
+            len(w) - window + 1 for w in walks if len(w) >= window
+        ]
+        negs = ReferenceKernel().draw_negatives(
+            make_sampler(n_nodes), contexts, NS, "per_context"
+        )
+        a = make_model("proposed", n_nodes, 8, seed=seed, weight_tying=tying)
+        b = make_model("proposed", n_nodes, 8, seed=seed, weight_tying=tying)
+        BlockedKernel().train_prepared(a, contexts, negs)
+        kept = [w for w in walks if len(w) >= window]
+        for walk, n in zip(kept, negs, strict=True):
+            BlockedKernel().train_prepared(b, prepare_contexts([walk], window), [n])
+        assert np.array_equal(a.B, b.B)
+        assert np.array_equal(a.P, b.P)
+        assert a.n_walks_trained == b.n_walks_trained == len(contexts)
+
+    @pytest.mark.parametrize(
+        "n_nodes, window, heavy",
+        ((16, WINDOW, True), (20_000, 2, False)),
+    )
+    def test_regimes_reach_both_error_branches(self, n_nodes, window, heavy):
+        """The kernel's error branch is ``3R ≤ k·S`` (R distinct rows among
+        a walk's k·S sample slots); the two regimes land on either side."""
+        rng = np.random.default_rng(0)
+        contexts = prepare_contexts([rng.integers(0, n_nodes, size=20)], window)
+        (negs,) = ReferenceKernel().draw_negatives(
+            make_sampler(n_nodes), contexts, NS, "per_context"
+        )
+        (ctx,) = contexts
+        J = window - 1
+        samples = np.concatenate([ctx.positives, np.tile(negs, (1, J))], axis=1)
+        assert (3 * np.unique(samples).size <= samples.size) == heavy
+
+    @pytest.mark.parametrize("where", ("centers", "positives", "negatives"))
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_out_of_range_id_anywhere_leaves_model_untouched(self, where, data):
+        n_nodes = 30
+        walks, seed = data.draw(ragged_walks(n_nodes))
+        contexts = prepare_contexts(walks, WINDOW)
+        if not contexts:
+            return
+        negs = ReferenceKernel().draw_negatives(
+            make_sampler(n_nodes), contexts, NS, "per_context"
+        )
+        target = {
+            "centers": contexts.centers,
+            "positives": contexts.positives,
+            "negatives": negs[data.draw(st.integers(0, len(negs) - 1))],
+        }[where].reshape(-1)
+        target[data.draw(st.integers(0, target.size - 1))] = data.draw(
+            st.sampled_from((-1, n_nodes))
+        )
+        model = make_model("proposed", n_nodes, 8, seed=seed)
+        B, P = model.B.copy(), model.P.copy()
+        with pytest.raises(ValueError, match=f"{where} contain out-of-range"):
+            BlockedKernel().train_prepared(model, contexts, negs)
+        assert np.array_equal(model.B, B)
+        assert np.array_equal(model.P, P)
+        assert model.n_walks_trained == 0
 
 
 class TestChunkBehavior:

@@ -185,6 +185,28 @@ class TestRankKHelper:
         with pytest.raises(ValueError, match="gain"):
             rank_k_update(np.eye(3), np.ones((2, 3)), gain="turbo")
 
+    @pytest.mark.parametrize("gain", ("sequential", "batch"))
+    def test_indefinite_s_raises_in_woodbury_form(self, gain):
+        """k ≤ d takes the Woodbury form: an indefinite P makes
+        S = λI + H P Hᵀ indefinite, and the failed LAPACK factorization
+        surfaces as numpy's LinAlgError, leaving P untouched."""
+        from repro.embedding.oselm import rank_k_update
+
+        P = -10.0 * np.eye(4)
+        with pytest.raises(np.linalg.LinAlgError):
+            rank_k_update(P, np.ones((2, 4)), gain=gain)
+        assert np.array_equal(P, -10.0 * np.eye(4))
+
+    def test_indefinite_p_raises_in_information_form(self):
+        """k > d with batch gains takes the information form, which factors
+        P itself: an indefinite P raises LinAlgError, leaving P untouched."""
+        from repro.embedding.oselm import rank_k_update
+
+        P = np.diag([1.0, 1.0, -1.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            rank_k_update(P, np.ones((5, 3)), gain="batch")
+        assert np.array_equal(P, np.diag([1.0, 1.0, -1.0]))
+
 
 class TestNumericalDrift:
     """Long-run behavior of the rank-1 recursion: the periodic
