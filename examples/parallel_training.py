@@ -20,14 +20,14 @@ Knobs demonstrated below:
 * ``transport`` — ``"shm"`` (zero-copy shared-memory ring) vs ``"pickle"``
   (serialized through the pool result pipe);
 * ``exec_backend`` — ``"reference"`` (the bit-exact per-walk loop) vs
-  ``"fused"`` (vectorized chunk kernels: bulk negative draw + batched
-  gather/scatter updates — the big walks/s lever for the SGD baseline) vs
-  ``"blocked"`` (fused draws + rank-k RLS block solves — the lever for the
-  paper's proposed OS-ELM model) vs ``"compiled"`` (numba-JIT'd reference
+  ``"blocked"`` (vectorized chunk kernels: bulk negative draw, batched
+  gather/scatter updates for the SGD baseline and rank-k RLS block solves
+  for the paper's proposed OS-ELM model — the big walks/s lever for both)
+  vs ``"compiled"`` (numba-JIT'd reference
   kernels, **bit-identical to reference**; without numba — the ``perf``
   extra — it warns once and falls back to reference, and telemetry shows
   ``compiled[fallback=reference]``).  The ``"batch_rls"`` model rides the
-  span-aware backends one step further: its ``defer_span`` knob
+  span-aware ``"blocked"`` backend one step further: its ``defer_span`` knob
   (``"walk"`` | int | ``"chunk"``) lets one rank-k span legally cross
   walk boundaries — at ``defer_span="chunk"`` every staged work item
   becomes a single shared-negative rank-k solve, this family's raw-speed
@@ -94,20 +94,20 @@ def main() -> None:
             f"walk bytes over pickle channel {t.ipc_walk_bytes:>9,}"
         )
 
-    # -- execution backends: reference vs fused/blocked/compiled kernels - #
-    # the SGD baseline's per-window Python loop is where the fused kernels
-    # shine; the proposed OS-ELM model needs the blocked backend's rank-k
-    # RLS block solves (fused alone leaves its recursion per-context); the
-    # compiled backend JITs the reference loop itself — same bits, machine
-    # code.  Without numba (`pip install .[perf]`) "compiled" emits one
-    # RuntimeWarning and trains through the bit-identical reference
-    # fallback — telemetry records it as compiled[fallback=reference].
+    # -- execution backends: reference vs blocked/compiled kernels ----- #
+    # the blocked backend batches the SGD baseline's per-window Python loop
+    # per walk and runs the proposed OS-ELM model's RLS recursion as rank-k
+    # block solves; the compiled backend JITs the reference loop itself —
+    # same bits, machine code.  Without numba (`pip install .[perf]`)
+    # "compiled" emits one RuntimeWarning and trains through the
+    # bit-identical reference fallback — telemetry records it as
+    # compiled[fallback=reference].
     # batch_rls pushes the blocked lever chunk-wide: defer_span="chunk"
     # folds each staged work item into one shared-negative rank-k solve.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for model, backend, kwargs in (
-            ("original", "reference", {}), ("original", "fused", {}),
+            ("original", "reference", {}), ("original", "blocked", {}),
             ("original", "compiled", {}),
             ("proposed", "reference", {}), ("proposed", "blocked", {}),
             ("batch_rls", "blocked", {"defer_span": "chunk"}),

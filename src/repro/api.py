@@ -105,7 +105,7 @@ def train_embedding(
         ``"batch_rls"`` — span-deferred rank-k RLS with one shared negative
         batch per span; its ``defer_span`` model knob (``"walk"`` | int |
         ``"chunk"``) may legally cross walk boundaries under the
-        span-aware ``"fused"``/``"blocked"`` backends — the chunk-wide
+        span-aware ``"blocked"`` backend — the chunk-wide
         GEMM setting (and this family's raw-speed ceiling);
         ``"original"`` — the SGD skip-gram baseline.
     hyper:
@@ -139,7 +139,7 @@ def train_embedding(
         to let telemetry rebalance it between epochs.  Chunking never
         changes the *walks* (seeded by global walk index) and — under a
         chunk-invariant backend like ``"reference"`` — never the trained
-        embedding either.  ``"fused"`` pins the embedding to the chunk
+        embedding either.  ``"blocked"`` pins the embedding to the chunk
         schedule, so ``chunk_size="auto"`` (a timing-driven schedule) is
         rejected with it.  Setting it implies the pipelined path.
     exec_backend:
@@ -149,10 +149,10 @@ def train_embedding(
 {backends}
 
         ``None`` follows the model's own preference (``"reference"`` unless
-        restored from a checkpoint that says otherwise).  ``"fused"`` and
-        ``"blocked"`` draw each chunk's negatives in one bulk pass, so
-        their embedding is pinned to the chunk schedule (still bit-identical
-        across workers, prefetch and transports).  ``"compiled"``
+        restored from a checkpoint that says otherwise).  ``"blocked"``
+        draws each chunk's negatives in one bulk pass, so its embedding is
+        pinned to the chunk schedule (still bit-identical across workers,
+        prefetch and transports).  ``"compiled"``
         needs the optional numba extra (``pip install .[perf]``) to
         actually JIT; without it the run falls back to the bit-identical
         ``"reference"`` path with a one-time :class:`RuntimeWarning`, and

@@ -12,8 +12,10 @@ The config block also records the model's preferred execution backend
 (:attr:`~repro.embedding.base.EmbeddingModel.exec_backend`), so a restored
 model resumes training through the same chunk kernel it was trained with —
 any :data:`~repro.embedding.kernels.EXEC_REGISTRY` name (``"reference"``,
-``"fused"``, ``"blocked"``, ``"compiled"``) round-trips; checkpoints
-written before the kernel layer load as ``"reference"``.
+``"blocked"``, ``"compiled"``) round-trips; checkpoints written before the
+kernel layer load as ``"reference"``, and ones naming the retired
+``"fused"`` backend (``"blocked"`` without the OS-ELM block kernel) load as
+``"blocked"``.
 
 The ``kind`` field names the model class.  A ``"batch_rls"`` checkpoint
 also records its ``defer_span``.  The ``"block"`` model is ``"batch_rls"``
@@ -37,6 +39,16 @@ from repro.embedding.skipgram import SkipGramSGD
 __all__ = ["save_model", "load_model"]
 
 _FORMAT_VERSION = 1
+
+#: retired backend names a checkpoint may still carry → their successors
+_LEGACY_BACKENDS = {"fused": "blocked"}
+
+
+def _exec_backend(cfg: dict) -> str:
+    # version-1 checkpoints predate the kernel layer: default to the
+    # bit-identical reference backend
+    name = cfg.get("exec_backend", "reference")
+    return _LEGACY_BACKENDS.get(name, name)
 
 
 def _config_of(model: EmbeddingModel) -> dict:
@@ -127,9 +139,7 @@ def load_model(path: str) -> EmbeddingModel:
                 denominator=cfg["denominator"],
                 duplicate_policy=cfg["duplicate_policy"],
                 forgetting_factor=cfg["forgetting_factor"],
-                # version-1 checkpoints predate the kernel layer: default
-                # to the bit-identical reference backend
-                exec_backend=cfg.get("exec_backend", "reference"),
+                exec_backend=_exec_backend(cfg),
                 seed=0,
                 **extra,
             )
@@ -144,7 +154,7 @@ def load_model(path: str) -> EmbeddingModel:
                 cfg["n_nodes"],
                 cfg["dim"],
                 lr=cfg["lr"],
-                exec_backend=cfg.get("exec_backend", "reference"),
+                exec_backend=_exec_backend(cfg),
                 seed=0,
             )
             model.w_in = data["w_in"].copy()

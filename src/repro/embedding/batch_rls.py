@@ -36,7 +36,7 @@ One shared negative batch is drawn per span (the span is the model's
 same way the FPGA's per-walk batch policy [18] amortizes its draws.
 
 Because the model owns the deferred semantics, span-aware execution
-backends (``"fused"``/``"blocked"``) may legally run spans of hundreds of
+backends (``"blocked"``) may legally run spans of hundreds of
 contexts — the OS-ELM hot path becomes a handful of large GEMMs per chunk.
 Walk-feeding backends (``"reference"``/``"compiled"``) accept the model
 only at ``defer_span="walk"`` or ``1``; a cross-walk ``defer_span`` under a

@@ -18,43 +18,34 @@ Backends
     calls in the same order as the pre-kernel ``WalkTrainer``, so the golden
     sha256 regressions pin to this backend.
 
-``"fused"``
+``"blocked"``
     Vectorized chunk kernels: contexts are extracted up front and all
     negatives drawn in **one bulk alias pass**
     (:meth:`~repro.sampling.negative.NegativeSampler.draw_batch`) per
     staging block (``block_walks`` = 1024 walks — pipeline chunks fit in
     one block; a whole-corpus call stages block by block so memory stays
-    bounded), and the per-window gather/scatter updates are batched per
-    walk:
+    bounded).  Per model:
 
     * :class:`~repro.embedding.skipgram.SkipGramSGD` — weights are frozen
       for the duration of one walk, every window's forward pass and gradient
       is computed in three ``einsum`` batches, and the updates land in three
       ``np.add.at`` scatters (the software analogue of the FPGA's deferred
       per-walk update, Algorithm 2's structure applied to SGD).
-    * :class:`~repro.embedding.sequential.OSELMSkipGram` — the per-context
-      RLS recursion is inherently sequential (context *i* reads the ``P``
-      and ``β`` context *i−1* wrote), so the kernel keeps the exact
-      per-context ordering but hoists every per-context allocation (the
-      sample/target assembly is staged once per chunk, like
-      ``"blocked"``'s) out of the loop.  Given the same negatives this is
-      **bit-identical** to the reference batched duplicate policy.
-    * :class:`~repro.embedding.dataflow.DataflowOSELMSkipGram` — already
-      walk-vectorized; the fused win is the bulk negative draw and the
-      up-front context extraction.  Bit-identical given the same negatives.
+    * :class:`~repro.embedding.sequential.OSELMSkipGram` — the paper's
+      *proposed* model, whose Algorithm 1 recursion executes one tiny
+      matvec per context — runs in rank-k blocks, one block per walk
+      (blocks never cross a walk boundary), below.
+    * the deferred :class:`~repro.embedding.dataflow.DataflowOSELMSkipGram`
+      and :class:`~repro.embedding.batch_rls.BatchRLSSkipGram` models are
+      already walk-vectorized and train through their own updates; the win
+      is the bulk negative draw and the up-front context extraction.
 
-``"blocked"``
-    Everything ``"fused"`` does, plus the OS-ELM rank-k block kernel: the
-    plain :class:`~repro.embedding.sequential.OSELMSkipGram` chunk — the
-    paper's *proposed* model, the one workload ``"fused"`` could only lift
-    ~1.3× because Algorithm 1's per-context RLS recursion executes one tiny
-    matvec at a time — runs in rank-k blocks, one block per walk (blocks
-    never cross a walk boundary).  What does not depend on the recursion
-    is staged once per chunk: the contexts come out of one sliding-window
-    pass over the chunk's walks (:class:`ChunkContexts`), the input checks
-    run once, vectorized, and the ``[positives | tiled negatives]`` sample
-    matrix and its shared targets are built once, into buffers the model
-    reuses across chunks.  Per walk only the recursion's own work is left:
+    The OS-ELM block kernel stages what does not depend on the recursion
+    once per chunk: the contexts come out of one sliding-window pass over
+    the chunk's walks (:class:`ChunkContexts`), the input checks run once,
+    vectorized, and the ``[positives | tiled negatives]`` sample matrix and
+    its shared targets are built once, into buffers the model reuses across
+    chunks.  Per walk only the recursion's own work is left:
 
     1. one ``µ·B[centers]`` gather of the block's hidden rows against the
        block-start ``B`` (:meth:`~repro.embedding.sequential.OSELMSkipGram.hidden_batch`);
@@ -110,9 +101,8 @@ Backends
 
     ``denominator="paper"`` has no block form (the literal line 5 deflates
     the gain denominator to ``hph``, which the SPD solve does not model) —
-    those models fall back to the fused per-context kernel, as does
-    ``SkipGramSGD`` (no RLS recursion to block); the deferred dataflow and
-    ``batch_rls`` models train through their own walk-vectorized updates.
+    those models train through their own per-context ``train_walk``,
+    exactly as ``"reference"`` does given the same negatives.
     With ``forgetting_factor < 1`` the ``1/λ`` rescaling applies once per
     block rather than once per context (the same per-span treatment
     :class:`~repro.embedding.batch_rls.BatchRLSSkipGram` documents).
@@ -122,20 +112,20 @@ Backends
     (``"batch_rls"``) defers its rank-k RLS update over a configurable
     ``defer_span`` that may legally cross walk boundaries.  Backends
     advertise whether they can feed such spans via
-    :attr:`ExecBackend.spans_walks` (fused/blocked stage whole context
-    blocks → True; reference/compiled feed one walk at a time → False), and
+    :attr:`ExecBackend.spans_walks` (blocked stages whole context blocks
+    → True; reference/compiled feed one walk at a time → False), and
     ``train_chunk`` rejects a cross-walk ``defer_span`` on a walk-feeding
     backend up front with the registry-rendered
     :func:`cross_walk_span_error`.  At ``defer_span="walk"``/``1`` every
-    backend accepts the model, and fused/blocked execute its ``train_walk``
-    verbatim — which is why ``FUSED_RTOL``/``BLOCKED_RTOL`` carry ``0.0``
-    for it; the cross-walk drift contract lives in ``BATCH_RLS_RTOL``.
+    backend accepts the model, and blocked executes its ``train_walk``
+    verbatim — which is why ``BLOCKED_RTOL`` carries ``0.0`` for it; the
+    cross-walk drift contract lives in ``BATCH_RLS_RTOL``.
 
 ``"compiled"``
     The reference per-walk loops as numba-JIT kernels
     (:mod:`repro.embedding.compiled`): same negative draw order (the
     reference's per-walk ``sample_for_walk`` calls), same float64 update
-    order, so — unlike ``"fused"``/``"blocked"`` — the golden sha256
+    order, so — unlike ``"blocked"`` — the golden sha256
     regressions pass under ``"compiled"`` **verbatim**, and results stay
     chunk-invariant (``chunk_size="auto"`` is allowed).  numba is an
     optional extra (``pip install .[perf]``); without it the backend
@@ -148,29 +138,32 @@ Backends
 
 Tolerance contract
 ------------------
-``"fused"`` differs from ``"reference"`` in two documented ways:
+``"blocked"`` differs from ``"reference"`` in two documented ways:
 
-1. **Negative stream** — fused draws the chunk's negatives in one bulk
+1. **Negative stream** — blocked draws the chunk's negatives in one bulk
    alias pass, so the RNG call pattern (and hence the sampled negatives)
    differs from the reference's per-walk draws.  The *distribution* is
    identical (same alias table, same stream).
-2. **Arithmetic, given the same negatives** — exact (bit-identical) for the
-   OS-ELM family under the batched duplicate policy, and for the dataflow /
-   block models.  For ``SkipGramSGD`` the fused kernel defers updates to
-   walk boundaries, so it drifts from the sequential reference by
-   ``O(lr²)`` per window — the same order as the model's own documented
-   in-context scatter accumulation, and the same walk-level deferral whose
-   accuracy cost the paper measures for Algorithm 2 (Figure 5, ≤1.09%).
-   For ``duplicate_policy="sequential"`` OS-ELM models the fused kernel
-   substitutes the batched arithmetic (the policies already agree to float
-   tolerance; see ``OSELMSkipGram.duplicate_policy``).
+2. **Arithmetic, given the same negatives** — ``BLOCKED_RTOL`` per model.
+   The proposed model carries the O(µ²·k) block staleness ("Error
+   analysis" above); its block kernel accumulates duplicate rows like the
+   batched duplicate policy, so ``duplicate_policy="sequential"`` models
+   get the batched arithmetic (the policies already agree to float
+   tolerance; see ``OSELMSkipGram.duplicate_policy``).  ``SkipGramSGD``
+   defers its updates to walk boundaries, so it drifts from the sequential
+   reference by ``O(lr²)`` per window — the same order as the model's own
+   documented in-context scatter accumulation, and the same walk-level
+   deferral whose accuracy cost the paper measures for Algorithm 2
+   (Figure 5, ≤1.09%).  Models that train through their own
+   ``train_walk`` (dataflow, ``"block"``, ``batch_rls`` at walk spans, and
+   ``denominator="paper"`` OS-ELM) are bit-identical.
 
-``tests/embedding/test_kernels.py`` pins both halves of the contract:
-kernel arithmetic is compared under *shared* pre-drawn negatives (exact or
-``FUSED_RTOL``-close per model), and the golden regressions stay pinned to
-``"reference"``.  ``tests/embedding/test_blocked.py`` pins the blocked
-contract the same way (``BLOCKED_RTOL`` property tests, the alpha-tied
-duplicate-free exactness, and the one-context-block degeneration).
+``tests/embedding/test_blocked.py`` pins the arithmetic under *shared*
+pre-drawn negatives (``BLOCKED_RTOL`` property tests, the alpha-tied
+duplicate-free exactness, and the one-context-block degeneration);
+``tests/embedding/test_kernels.py`` pins the registry, the bulk draw and
+the reference/compiled bit-identity, and the golden regressions stay
+pinned to ``"reference"``.
 
 Registry
 --------
@@ -197,7 +190,7 @@ from repro.embedding import compiled as _compiled
 from repro.embedding.batch_rls import BatchRLSSkipGram
 from repro.embedding.dataflow import DataflowOSELMSkipGram
 from repro.embedding.oselm import _work_buf, rank_k_update
-from repro.embedding.sequential import _EPS, OSELMSkipGram
+from repro.embedding.sequential import OSELMSkipGram
 from repro.embedding.skipgram import SkipGramSGD, _sigmoid
 from repro.hw.opcount import OpCount
 from repro.sampling.corpus import WalkContexts, check_window
@@ -215,12 +208,10 @@ __all__ = [
     "BLOCKED_RTOL",
     "EXEC_BACKENDS",
     "EXEC_REGISTRY",
-    "FUSED_RTOL",
     "BlockedKernel",
     "ChunkStats",
     "CompiledKernel",
     "ExecBackend",
-    "FusedKernel",
     "ReferenceKernel",
     "cross_walk_span_error",
     "default_negative_reuse",
@@ -228,35 +219,23 @@ __all__ = [
     "resolve_backend",
 ]
 
-#: Documented relative tolerance of ``"fused"`` vs ``"reference"`` under
-#: *shared* negatives, per model registry name.  ``0.0`` means bit-identical
-#: by construction; ``SkipGramSGD``'s walk-level deferral drifts by
-#: ``O(lr²)`` per window, which the property tests bound at this rtol on
-#: Table 2-scale workloads with the paper's lr = 0.01.
-FUSED_RTOL: dict[str, float] = {
-    "original": 5e-2,
-    "proposed": 0.0,
-    "dataflow": 0.0,
-    "block": 0.0,
-    # batch_rls clips spans at walk boundaries under every walk-feeding
-    # comparison (defer_span="walk"/1 — the only settings "reference" can
-    # run), where fused executes the model's own train_walk verbatim
-    "batch_rls": 0.0,
-}
-
 #: Documented relative tolerance of ``"blocked"`` vs ``"reference"`` under
 #: *shared* negatives, per model registry name (module docstring, "Error
-#: analysis").  ``"proposed"`` carries the O(µ²·k)-per-block staleness of
-#: the rank-k RLS solve, bounded at this rtol on Table 2-scale workloads at
-#: the paper's µ = 0.01; ``"original"`` inherits the fused SGD kernel and
-#: its O(lr²) walk deferral; the deferred models train through their own
-#: walk-vectorized updates (bit-identical given shared negatives).
+#: analysis").  ``0.0`` means bit-identical by construction.
+#: ``"proposed"`` carries the O(µ²·k)-per-block staleness of the rank-k RLS
+#: solve and ``"original"`` the O(lr²)-per-window drift of its walk
+#: deferral, each bounded at this rtol on Table 2-scale workloads at the
+#: paper's µ = lr = 0.01; the deferred models train through their own
+#: walk-vectorized updates.
 BLOCKED_RTOL: dict[str, float] = {
     "original": 5e-2,
     "proposed": 1e-1,
     "dataflow": 0.0,
     "block": 0.0,
-    "batch_rls": 0.0,  # same dispatch as fused: the model owns its spans
+    # batch_rls clips spans at walk boundaries under every walk-feeding
+    # comparison (defer_span="walk"/1 — the only settings "reference" can
+    # run), where blocked executes the model's own train_walk verbatim
+    "batch_rls": 0.0,
 }
 
 #: Floating-point headroom for the cases ``"blocked"`` reproduces *exactly
@@ -373,12 +352,12 @@ class ExecBackend:
     #: walks staged (contexts extracted + negatives drawn) per internal
     #: block of one ``train_chunk`` call — the peak-memory bound.  The
     #: reference backend stages one walk at a time (the pre-kernel loop's
-    #: exact memory profile); the fused backend trades a bounded block for
+    #: exact memory profile); the blocked backend trades a bounded block for
     #: vectorization width.
     block_walks: int = 1
     #: whether results are invariant to how a corpus is split into
     #: ``train_chunk`` calls.  The reference backend draws per walk, so any
-    #: chunking yields the same stream; the fused backend draws one bulk
+    #: chunking yields the same stream; the blocked backend draws one bulk
     #: pass per call, pinning results to the chunk schedule — which is why
     #: the pipeline refuses ``chunk_size="auto"`` (a timing-driven,
     #: worker-dependent schedule) for non-invariant backends.
@@ -388,8 +367,8 @@ class ExecBackend:
     #: with a cross-walk ``defer_span``).  Walk-feeding backends
     #: (reference/compiled) hand the model one walk at a time, so
     #: :meth:`train_chunk` rejects such models up front with
-    #: :func:`cross_walk_span_error`; the fused/blocked backends stage a
-    #: whole block of contexts and legally run spans across it.
+    #: :func:`cross_walk_span_error`; the blocked backend stages a whole
+    #: block of contexts and legally runs spans across it.
     spans_walks: bool = False
 
     @property
@@ -432,7 +411,7 @@ class ExecBackend:
         else:
             # batch_rls "walk"/1 spans clip at walk boundaries, where the
             # model's own train_walk IS the span — the same calls on every
-            # backend, hence FUSED_RTOL["batch_rls"] = 0.0 (a cross-walk
+            # backend, hence BLOCKED_RTOL["batch_rls"] = 0.0 (a cross-walk
             # span on a walk-feeding backend raises from train_walk)
             _train_walks(model, contexts, negatives)
 
@@ -635,49 +614,7 @@ def _stage_samples(
     return samples, targets
 
 
-def _train_oselm_fused(
-    model: OSELMSkipGram,
-    chunk: ChunkContexts,
-    negatives: list[np.ndarray],
-) -> None:
-    """One chunk of Algorithm 1 with every per-context allocation hoisted.
-
-    The RLS recursion itself stays sequential (context *i* reads the ``P``
-    and ``β`` written by context *i−1* — the exact dependency the paper's
-    Algorithm 2 breaks, which is a *different model* here), but the
-    per-context ``samples``/``targets`` assembly is staged once per chunk,
-    and the loop body runs on local bindings.  Given the same negatives
-    this is bit-identical to ``train_walk`` under the batched duplicate
-    policy; for ``duplicate_policy="sequential"`` it substitutes the
-    batched arithmetic (float-tolerance-close, see the model docstring).
-    """
-    negs = _stage_negatives(model, chunk, negatives)
-    samples, targets = _stage_samples(model, chunk, negs)
-    B, P = model.B, model.P
-    mu, lam = model.mu, model.forgetting_factor
-    tied = model.weight_tying == "beta"
-    alpha = model._alpha
-    standard = model.denominator == "standard"
-    centers = chunk.centers
-    for i in range(chunk.n):
-        H = mu * B[centers[i]] if tied else alpha[centers[i]]
-        Ph = P @ H
-        hph = float(H @ Ph)
-        if standard:
-            denom = lam + hph
-        else:  # literal Algorithm 1 line 5
-            denom = hph if abs(hph) > _EPS else _EPS
-        k = Ph / denom
-        P -= np.outer(k, Ph)
-        if lam != 1.0:
-            P /= lam
-        s = samples[i]
-        errs = targets - B[s] @ H
-        np.add.at(B, s, errs[:, None] * k[None, :])
-    model.n_walks_trained += len(chunk)
-
-
-def _train_sgd_fused(
+def _train_sgd_blocked(
     model: SkipGramSGD, chunk: ChunkContexts, negatives: list[np.ndarray]
 ) -> None:
     """SGD skip-gram with weights frozen at each walk's start.
@@ -688,7 +625,7 @@ def _train_sgd_fused(
     trained once per window in the reference, so its frozen-weight
     contribution scales by the window count ``J`` — the same treatment the
     dataflow model applies to Algorithm 1.  Drift vs the sequential
-    reference is ``O(lr²)`` per window (see ``FUSED_RTOL``).
+    reference is ``O(lr²)`` per window (see ``BLOCKED_RTOL``).
     """
     w_in, w_out = model.w_in, model.w_out
     lr, d = model.lr, model.dim
@@ -726,7 +663,7 @@ def _train_batch_rls_spans(
     (:meth:`~repro.embedding.batch_rls.BatchRLSSkipGram.train_span`) per
     ``defer_span`` contexts — ``"chunk"`` makes the whole staged block a
     single span, the maximal-GEMM setting.  The per-span negative rows
-    arrive pre-shared from :meth:`FusedKernel.draw_negatives` (one draw
+    arrive pre-shared from :meth:`BlockedKernel.draw_negatives` (one draw
     per span).
     """
     negs = _stage_negatives(model, chunk, negatives)
@@ -738,52 +675,6 @@ def _train_batch_rls_spans(
         hi = min(lo + span, total)
         model.train_span(chunk.centers[lo:hi], chunk.positives[lo:hi], negs[lo:hi])
     model.n_walks_trained += len(chunk)
-
-
-class FusedKernel(ExecBackend):
-    """Vectorized chunk kernels (see module docstring for the per-model
-    fusion strategy and the tolerance contract)."""
-
-    name = "fused"
-    summary = (
-        "bulk negative draw + batched per-walk gather/scatter kernels "
-        "(documented tolerance vs reference)"
-    )
-    chunk_invariant = False  # one bulk draw per block (module docstring)
-    #: bulk-draw/staging width: big enough that the draw and the kernel
-    #: dispatch amortize (pipeline chunks are typically ≤ this, so one
-    #: block == one chunk), small enough that a whole-corpus call — the
-    #: sequential trainer's epoch — stays O(block) memory
-    block_walks = 1024
-
-    #: fused stages a whole block of contexts, so model-owned cross-walk
-    #: deferral spans are legal here (module docstring, "batch_rls")
-    spans_walks = True
-
-    def draw_negatives(
-        self,
-        sampler: NegativeSampler,
-        contexts: ChunkContexts,
-        ns: int,
-        negative_reuse: str,
-        model: EmbeddingModel | None = None,
-    ) -> list[np.ndarray]:
-        total = contexts.n
-        if negative_reuse == "per_context":
-            rows, row_of = total, np.arange(total)
-        elif getattr(model, "defer_crosses_walks", False):
-            # one shared batch per *deferral span* (GraphACT-style
-            # amortization): the span is the batch_rls model's reuse unit,
-            # so "per_walk" reads as per-span for cross-walk spans
-            span = total if model.defer_span == "chunk" else int(model.defer_span)
-            rows, row_of = (total + span - 1) // span, np.arange(total) // span
-        else:  # one row per walk, shared by its contexts
-            rows = len(contexts)
-            row_of = np.repeat(np.arange(rows), contexts.counts)
-        return contexts.split(sampler.draw_batch(rows, ns)[row_of])
-
-    _train_oselm = staticmethod(_train_oselm_fused)
-    _train_sgd = staticmethod(_train_sgd_fused)
 
 
 def _train_oselm_blocked(
@@ -808,8 +699,8 @@ def _train_oselm_blocked(
     """
     if model.denominator != "standard":
         # literal Algorithm 1 line 5 (denom = hph) has no SPD block form —
-        # those models keep the per-context fused kernel
-        _train_oselm_fused(model, chunk, negatives)
+        # those models keep their own per-context recursion
+        _train_walks(model, chunk, negatives)
         return
     negs = _stage_negatives(model, chunk, negatives)
     samples, targets = _stage_samples(model, chunk, negs)
@@ -877,10 +768,11 @@ def _train_oselm_blocked(
     model.n_walks_trained += len(chunk)
 
 
-class BlockedKernel(FusedKernel):
-    """Rank-k blocked RLS for the OS-ELM family on top of the fused bulk
-    draws (see module docstring for the block algorithm and the
-    ``BLOCKED_RTOL`` error analysis).
+class BlockedKernel(ExecBackend):
+    """Bulk negative draws plus walk-deferred chunk kernels: rank-k blocked
+    RLS for the OS-ELM family, frozen-weight batches for SGD (see module
+    docstring for the block algorithm and the ``BLOCKED_RTOL`` error
+    analysis).
 
     A block is always one walk — the paper's Algorithm 2 deferral
     boundary.  Algorithm 1's recursion, the negative batch and the
@@ -891,12 +783,44 @@ class BlockedKernel(FusedKernel):
 
     name = "blocked"
     summary = (
-        "fused bulk draws + rank-k Woodbury block solves for the OS-ELM "
-        "RLS recursion (sequential gains, one scatter pass per block; "
-        "documented O(mu^2*k) staleness vs reference)"
+        "bulk negative draw + rank-k Woodbury block solves for the OS-ELM "
+        "RLS recursion (sequential gains, one scatter pass per block) and "
+        "walk-batched SGD (documented O(mu^2*k) / O(lr^2) drift vs reference)"
     )
+    chunk_invariant = False  # one bulk draw per block (module docstring)
+    #: bulk-draw/staging width: big enough that the draw and the kernel
+    #: dispatch amortize (pipeline chunks are typically ≤ this, so one
+    #: block == one chunk), small enough that a whole-corpus call — the
+    #: sequential trainer's epoch — stays O(block) memory
+    block_walks = 1024
+    #: blocked stages a whole block of contexts, so model-owned cross-walk
+    #: deferral spans are legal here (module docstring, "batch_rls")
+    spans_walks = True
+
+    def draw_negatives(
+        self,
+        sampler: NegativeSampler,
+        contexts: ChunkContexts,
+        ns: int,
+        negative_reuse: str,
+        model: EmbeddingModel | None = None,
+    ) -> list[np.ndarray]:
+        total = contexts.n
+        if negative_reuse == "per_context":
+            rows, row_of = total, np.arange(total)
+        elif getattr(model, "defer_crosses_walks", False):
+            # one shared batch per *deferral span* (GraphACT-style
+            # amortization): the span is the batch_rls model's reuse unit,
+            # so "per_walk" reads as per-span for cross-walk spans
+            span = total if model.defer_span == "chunk" else int(model.defer_span)
+            rows, row_of = (total + span - 1) // span, np.arange(total) // span
+        else:  # one row per walk, shared by its contexts
+            rows = len(contexts)
+            row_of = np.repeat(np.arange(rows), contexts.counts)
+        return contexts.split(sampler.draw_batch(rows, ns)[row_of])
 
     _train_oselm = staticmethod(_train_oselm_blocked)
+    _train_sgd = staticmethod(_train_sgd_blocked)
 
 
 class CompiledKernel(ReferenceKernel):
@@ -925,7 +849,7 @@ class CompiledKernel(ReferenceKernel):
         "RNG draw order and float64 update order; falls back to "
         "reference with a warning when numba is missing)"
     )
-    #: staged like the fused backend when compiled (block staging touches
+    #: staged like the blocked backend when compiled (block staging touches
     #: neither the draw order — draws are per-walk — nor the arithmetic);
     #: reset to 1 on fallback so the reference memory profile is preserved
     block_walks = 1024
@@ -1004,7 +928,7 @@ class CompiledKernel(ReferenceKernel):
 #: registry (the ``SOURCE_REGISTRY`` pattern, applied to execution).
 EXEC_REGISTRY: dict[str, type[ExecBackend]] = {
     cls.name: cls
-    for cls in (ReferenceKernel, FusedKernel, BlockedKernel, CompiledKernel)
+    for cls in (ReferenceKernel, BlockedKernel, CompiledKernel)
 }
 
 #: Valid ``exec_backend`` names, in registry order.

@@ -107,7 +107,7 @@ class WalkTrainer:
     exec_backend:
         chunk-execution backend for :meth:`train_corpus` — an
         :data:`repro.embedding.kernels.EXEC_REGISTRY` name
-        (``"reference"`` | ``"fused"`` | ``"blocked"`` | ``"compiled"``) or an
+        (``"reference"`` | ``"blocked"`` | ``"compiled"``) or an
         :class:`~repro.embedding.kernels.ExecBackend` instance (e.g. a
         subclass of a registered backend).  ``None`` (default) uses the model's own :attr:`~EmbeddingModel.exec_backend`
         preference; an explicit *registry name* also sets that preference,
@@ -162,8 +162,8 @@ class WalkTrainer:
 
         A one-walk chunk through the configured :attr:`backend` — under
         ``"reference"`` this is bit-identical to the historical inline loop
-        (per-walk draws), and under ``"fused"`` the walk runs through the
-        same fused kernel ``train_corpus`` would use, so walk-by-walk
+        (per-walk draws), and under ``"blocked"`` the walk runs through the
+        same chunk kernel ``train_corpus`` would use, so walk-by-walk
         drivers (the dynamic baselines, incremental deployments) train with
         the semantics the trainer — and any checkpoint — records.
         """
@@ -175,15 +175,14 @@ class WalkTrainer:
 
         The chunk is executed by the trainer's :attr:`backend`
         (:mod:`repro.embedding.kernels`): ``"reference"`` reproduces the
-        historical per-walk loop bit-identically; ``"fused"`` runs the
-        vectorized chunk kernels (bulk negative draw + batched
-        gather/scatter updates, documented tolerance); ``"blocked"`` adds
-        the rank-k RLS block solves for the OS-ELM family on top of the
-        fused draws.  The trainer keeps no per-corpus state, so callers may
-        invoke this once per streamed chunk; under ``"reference"`` the
-        result is bit-identical to one call over the concatenation
-        (per-walk draws), while ``"fused"``/``"blocked"`` draw each call's
-        negatives in one bulk pass, so their negative stream — like
+        historical per-walk loop bit-identically; ``"blocked"`` runs the
+        vectorized chunk kernels (bulk negative draw, rank-k RLS block
+        solves for the OS-ELM family, batched per-walk SGD updates;
+        documented tolerance).  The trainer keeps no per-corpus state, so
+        callers may invoke this once per streamed chunk; under
+        ``"reference"`` the result is bit-identical to one call over the
+        concatenation (per-walk draws), while ``"blocked"`` draws each
+        call's negatives in one bulk pass, so its negative stream — like
         :class:`~repro.sampling.sources.DecayedSource`'s fold schedule — is
         pinned to the chunking it was trained with.
         """
@@ -230,8 +229,7 @@ def train_on_graph(
     ``hyper`` is a :class:`repro.experiments.hyper.Node2VecParams` (or None
     for the paper's defaults).  ``model`` may be a registry name or an
     already-built :class:`EmbeddingModel`.  ``exec_backend`` selects the
-    chunk-execution kernel (``"reference"`` | ``"fused"`` | ``"blocked"`` |
-    ``"compiled"``,
+    chunk-execution kernel (``"reference"`` | ``"blocked"`` | ``"compiled"``,
     see :mod:`repro.embedding.kernels`); ``None`` follows the model's own
     preference (``"reference"`` unless restored from a checkpoint that says
     otherwise).

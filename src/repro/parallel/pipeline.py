@@ -67,10 +67,9 @@ Execution backends (``exec_backend``)
 -------------------------------------
 Consumed chunks train through the kernel layer
 (:mod:`repro.embedding.kernels`): ``"reference"`` is the bit-identical
-per-walk loop, ``"fused"`` the vectorized chunk kernels (bulk negative
-draw + batched per-walk gather/scatter updates), ``"blocked"`` the rank-k
-RLS block solves for the OS-ELM family on top of the fused draws, and
-``"compiled"`` the reference loops as numba-JIT kernels — bit-identical to
+per-walk loop, ``"blocked"`` the vectorized chunk kernels (bulk negative
+draw, rank-k RLS block solves for the OS-ELM family, batched per-walk
+SGD updates), and ``"compiled"`` the reference loops as numba-JIT kernels — bit-identical to
 ``"reference"`` (same goldens) when numba is installed, a warned fallback
 to the reference path otherwise.
 ``telemetry.exec_backend`` records the kernel that actually ran
@@ -837,16 +836,15 @@ def train_parallel(
 
     ``exec_backend`` selects the chunk-execution kernel
     (:data:`repro.embedding.kernels.EXEC_REGISTRY`): ``"reference"`` is the
-    bit-identical historical per-walk loop; ``"fused"`` runs the vectorized
-    chunk kernels (bulk negative draw + batched gather/scatter updates) for
-    a large walks/s win at a documented tolerance; ``"blocked"`` adds the
-    rank-k RLS block solves that lift the OS-ELM ``"proposed"`` model
-    (documented ``BLOCKED_RTOL`` staleness).  Because ``"fused"`` and
-    ``"blocked"`` draw each chunk's negatives in one bulk pass, their
-    negative stream is pinned to the chunk schedule: results stay
+    bit-identical historical per-walk loop; ``"blocked"`` runs the
+    vectorized chunk kernels (bulk negative draw, rank-k RLS block solves
+    for the OS-ELM ``"proposed"`` model, batched per-walk SGD updates) for
+    a large walks/s win at the documented ``BLOCKED_RTOL`` tolerance.
+    Because ``"blocked"`` draws each chunk's negatives in one bulk pass,
+    its negative stream is pinned to the chunk schedule: results stay
     bit-identical across ``n_workers``, ``prefetch`` and ``transport``,
     but — like ``"decayed"``'s virtual-chunk contract — change with
-    ``chunk_size`` (which is also why both reject ``chunk_size="auto"``).
+    ``chunk_size`` (which is also why it rejects ``chunk_size="auto"``).
     ``None`` follows the model's own :attr:`~repro.embedding.base.EmbeddingModel.exec_backend`
     preference (``"reference"`` unless a checkpoint says otherwise).
 

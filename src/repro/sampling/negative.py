@@ -103,7 +103,7 @@ class NegativeSampler:
         """Bulk negatives for a whole chunk: one ``(n_rows, n_samples)``
         alias pass.
 
-        This is the fused-kernel counterpart of :meth:`sample_for_walk` —
+        This is the chunk-kernel counterpart of :meth:`sample_for_walk` —
         one vectorized draw for every window (or walk, under per-walk
         reuse) of a chunk, instead of one RNG call pair per walk.  The
         distribution is identical to per-walk draws from the same table;

@@ -26,7 +26,6 @@ from repro.embedding.kernels import (
     BATCH_RLS_RTOL,
     BlockedKernel,
     CompiledKernel,
-    FusedKernel,
     ReferenceKernel,
     cross_walk_span_error,
     default_negative_reuse,
@@ -58,19 +57,19 @@ def make_chunk(rng, n_nodes, n_walks=4, max_len=18):
 
 def span_pair(walks, n_nodes, span_a, span_b, *, dim=8, seed=7):
     """Train two identically-initialized batch_rls models (``defer_span`` =
-    ``span_a`` vs ``span_b``) through the fused kernel on the SAME
+    ``span_a`` vs ``span_b``) through the blocked kernel on the SAME
     pre-drawn per-context negatives; returns (model_a, model_b)."""
     a = make_model("batch_rls", n_nodes, dim, seed=seed, defer_span=span_a)
     b = make_model("batch_rls", n_nodes, dim, seed=seed, defer_span=span_b)
-    fused = FusedKernel()
+    blocked = BlockedKernel()
     contexts = prepare_contexts(walks, WINDOW)
     # per-context draws, shared verbatim: isolates the span-staleness
     # arithmetic from the per-span draw policy
     negatives = ReferenceKernel().draw_negatives(
         make_sampler(n_nodes), contexts, NS, "per_context"
     )
-    fused.train_prepared(a, contexts, negatives)
-    fused.train_prepared(b, contexts, negatives)
+    blocked.train_prepared(a, contexts, negatives)
+    blocked.train_prepared(b, contexts, negatives)
     return a, b
 
 
@@ -176,11 +175,10 @@ class TestCrossWalkRejection:
 
     def test_error_renders_from_registry(self):
         msg = cross_walk_span_error("chunk", "reference")
-        assert '"fused"' in msg and '"blocked"' in msg
+        assert '"blocked"' in msg
         assert ReferenceKernel.summary in msg
         # capable backends never render their own rejection
-        for cls in (FusedKernel, BlockedKernel):
-            assert cls.spans_walks
+        assert BlockedKernel.spans_walks
         inst = cross_walk_span_error(8, ReferenceKernel())
         assert 'exec_backend="reference"' in inst
         bare = cross_walk_span_error(8)
@@ -204,24 +202,21 @@ class TestDegeneration:
         assert np.array_equal(a.B, b.B)
         assert np.array_equal(a.P, b.P)
 
-    @pytest.mark.parametrize("backend", ("fused", "blocked"))
-    def test_walk_span_reference_bit_identity(self, backend):
-        """At walk spans every backend executes the model's own train_walk
-        — the FUSED_RTOL/BLOCKED_RTOL 0.0 entries, pinned directly."""
+    @pytest.mark.parametrize("span", ("walk", 1))
+    def test_walk_span_reference_bit_identity(self, span):
+        """At spans that clip at walk boundaries every backend executes the
+        model's own train_walk — the BLOCKED_RTOL 0.0 entry, pinned
+        directly."""
         rng = np.random.default_rng(4)
         walks = make_chunk(rng, 30, n_walks=5)
-        a = make_model("batch_rls", 30, 8, seed=5)
-        b = make_model("batch_rls", 30, 8, seed=5)
+        a = make_model("batch_rls", 30, 8, seed=5, defer_span=span)
+        b = make_model("batch_rls", 30, 8, seed=5, defer_span=span)
         contexts = prepare_contexts(walks, WINDOW)
         negatives = ReferenceKernel().draw_negatives(
             make_sampler(30), contexts, NS, "per_walk"
         )
         ReferenceKernel().train_prepared(a, contexts, negatives)
-        FusedKernel().train_prepared(
-            b, contexts, negatives
-        ) if backend == "fused" else BlockedKernel().train_prepared(
-            b, contexts, negatives
-        )
+        BlockedKernel().train_prepared(b, contexts, negatives)
         assert np.array_equal(a.embedding, b.embedding)
 
 
@@ -250,23 +245,6 @@ class TestSpanToleranceContract:
 
     @given(case=chunk_case())
     @settings(max_examples=8, deadline=None)
-    def test_fused_and_blocked_agree_bitwise(self, case):
-        """Blocked inherits the fused span dispatch verbatim — same spans,
-        same draws, bit-identical."""
-        n_nodes, walks, seed = case
-        a = make_model("batch_rls", n_nodes, 8, seed=seed, defer_span="chunk")
-        b = make_model("batch_rls", n_nodes, 8, seed=seed, defer_span="chunk")
-        sa, sb = make_sampler(n_nodes), make_sampler(n_nodes)
-        WalkTrainer(a, window=WINDOW, ns=NS, exec_backend="fused").train_corpus(
-            walks, sa
-        )
-        WalkTrainer(b, window=WINDOW, ns=NS, exec_backend="blocked").train_corpus(
-            walks, sb
-        )
-        assert np.array_equal(a.embedding, b.embedding)
-
-    @given(case=chunk_case())
-    @settings(max_examples=8, deadline=None)
     def test_p_stays_exactly_symmetric(self, case):
         n_nodes, walks, seed = case
         m = make_model("batch_rls", n_nodes, 8, seed=seed, defer_span="chunk")
@@ -286,7 +264,7 @@ class TestSharedNegativeBatches:
         rng = np.random.default_rng(6)
         walks = make_chunk(rng, n_nodes, n_walks=3, max_len=14)
         contexts = prepare_contexts(walks, WINDOW)
-        negatives = FusedKernel().draw_negatives(
+        negatives = BlockedKernel().draw_negatives(
             make_sampler(n_nodes), contexts, NS, "per_walk", model=m
         )
         flat = np.concatenate(negatives, axis=0)
@@ -304,7 +282,7 @@ class TestSharedNegativeBatches:
         walks = [np.arange(20), np.arange(20, 44)]
         contexts = prepare_contexts(walks, WINDOW)
         total = sum(ctx.n for ctx in contexts)
-        negatives = FusedKernel().draw_negatives(
+        negatives = BlockedKernel().draw_negatives(
             make_sampler(n_nodes), contexts, NS, "per_walk", model=m
         )
         expect = make_sampler(n_nodes).draw_batch(-(-total // span), NS)

@@ -1,24 +1,21 @@
-"""Kernel-layer tests: the execution-backend registry, reference
-bit-identity, and the fused-vs-reference tolerance contract for all four
-registry models × duplicate policies (shared pre-drawn negatives isolate
-the *arithmetic*; the bulk-draw divergence is pinned separately)."""
+"""Kernel-layer tests: the execution-backend registry, reference and
+compiled bit-identity, bounded staging and the bulk-draw contract (the
+blocked arithmetic under shared negatives is pinned in
+``test_blocked.py``)."""
 
 import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.embedding import make_model
 from repro.embedding import compiled as compiled_mod
 from repro.embedding.kernels import (
     EXEC_BACKENDS,
     EXEC_REGISTRY,
-    FUSED_RTOL,
+    BlockedKernel,
     ChunkStats,
     CompiledKernel,
-    FusedKernel,
     ReferenceKernel,
     default_negative_reuse,
     make_backend,
@@ -50,42 +47,19 @@ def reuse_for(name):
     return default_negative_reuse(make_model(name, 4, 2))
 
 
-def shared_negative_run(name, walks, n_nodes, *, policy=None, dim=8, seed=7):
-    """Train two identically-initialized models through both kernels on the
-    SAME pre-drawn negatives; returns (reference_model, fused_model)."""
-    kwargs = {} if policy is None else {"duplicate_policy": policy}
-    a = make_model(name, n_nodes, dim, seed=seed, **kwargs)
-    b = make_model(name, n_nodes, dim, seed=seed, **kwargs)
-    ref, fused = ReferenceKernel(), FusedKernel()
-    contexts = prepare_contexts(walks, WINDOW)
-    negatives = ref.draw_negatives(
-        make_sampler(n_nodes), contexts, NS, reuse_for(name)
-    )
-    ref.train_prepared(a, contexts, negatives)
-    fused.train_prepared(b, contexts, negatives)
-    return a, b
-
-
 class TestRegistry:
     def test_names(self):
-        assert EXEC_BACKENDS == ("reference", "fused", "blocked", "compiled")
+        assert EXEC_BACKENDS == ("reference", "blocked", "compiled")
         for name, cls in EXEC_REGISTRY.items():
             assert cls.name == name
             assert cls.summary
-
-    def test_tolerance_contract_covers_every_model(self):
-        assert set(FUSED_RTOL) == set(MODEL_REGISTRY)
-        # the OS-ELM family is exact by construction; only the SGD model
-        # carries a walk-deferral tolerance
-        assert FUSED_RTOL["original"] > 0
-        assert all(FUSED_RTOL[m] == 0.0 for m in MODELS if m != "original")
 
     def test_make_backend_invalid(self):
         with pytest.raises(ValueError, match="exec_backend"):
             make_backend("turbo")
 
     def test_resolve_backend(self):
-        backend = FusedKernel()
+        backend = BlockedKernel()
         assert resolve_backend(backend) is backend
         assert isinstance(resolve_backend("reference"), ReferenceKernel)
         with pytest.raises(TypeError):
@@ -145,74 +119,6 @@ class TestReferenceBitIdentity:
         assert np.array_equal(a.embedding, b.embedding)
 
 
-@st.composite
-def chunk_case(draw):
-    n_nodes = draw(st.integers(min_value=12, max_value=40))
-    n_walks = draw(st.integers(min_value=1, max_value=4))
-    seed = draw(st.integers(min_value=0, max_value=2**20))
-    rng = np.random.default_rng(seed)
-    return n_nodes, make_chunk(rng, n_nodes, n_walks=n_walks), seed
-
-
-class TestFusedToleranceContract:
-    """Property-style: given the SAME negatives, ``"fused"`` matches
-    ``"reference"`` within the documented per-model tolerance — exactly
-    (bit-identical) for the OS-ELM family under the batched duplicate
-    policy and for the deferred models, within ``FUSED_RTOL`` for the SGD
-    model's walk-level deferral and the sequential duplicate policy."""
-
-    @pytest.mark.parametrize("name", [m for m in MODELS if m != "original"])
-    @given(case=chunk_case())
-    @settings(max_examples=12, deadline=None)
-    def test_oselm_family_batched_exact(self, name, case):
-        n_nodes, walks, seed = case
-        a, b = shared_negative_run(name, walks, n_nodes, policy="batched", seed=seed)
-        assert np.array_equal(a.embedding, b.embedding)
-        assert np.array_equal(a.P, b.P)
-        assert a.n_walks_trained == b.n_walks_trained
-
-    @given(case=chunk_case())
-    @settings(max_examples=12, deadline=None)
-    def test_original_within_documented_rtol(self, case):
-        n_nodes, walks, seed = case
-        a, b = shared_negative_run("original", walks, n_nodes, seed=seed)
-        scale = max(np.abs(a.embedding).max(), 1e-12)
-        drift = np.abs(a.embedding - b.embedding).max()
-        assert drift <= FUSED_RTOL["original"] * scale
-
-    @pytest.mark.parametrize("name", ("proposed", "dataflow", "block"))
-    @given(case=chunk_case())
-    @settings(max_examples=8, deadline=None)
-    def test_sequential_policy_within_float_tolerance(self, name, case):
-        """fused substitutes the batched arithmetic for
-        duplicate_policy="sequential" models — the two policies agree to
-        float tolerance (the model's own documented contract)."""
-        n_nodes, walks, seed = case
-        a, b = shared_negative_run(name, walks, n_nodes, policy="sequential", seed=seed)
-        scale = max(np.abs(a.embedding).max(), 1.0)
-        assert np.abs(a.embedding - b.embedding).max() <= 1e-2 * scale
-
-    def test_original_drift_shrinks_quadratically_with_lr(self):
-        """The SGD tolerance is O(lr²) per window: shrinking lr 10× must
-        shrink the fused-vs-reference drift far more than 10×."""
-        rng = np.random.default_rng(5)
-        n_nodes = 30
-        walks = make_chunk(rng, n_nodes, n_walks=4)
-        drifts = {}
-        for lr in (0.01, 0.001):
-            a = make_model("original", n_nodes, 8, seed=7, lr=lr)
-            b = make_model("original", n_nodes, 8, seed=7, lr=lr)
-            ref, fused = ReferenceKernel(), FusedKernel()
-            contexts = prepare_contexts(walks, WINDOW)
-            negs = ref.draw_negatives(
-                make_sampler(n_nodes), contexts, NS, "per_context"
-            )
-            ref.train_prepared(a, contexts, negs)
-            fused.train_prepared(b, contexts, negs)
-            drifts[lr] = np.abs(a.embedding - b.embedding).max()
-        assert drifts[0.001] < drifts[0.01] / 8
-
-
 class TestBlockedStaging:
     """train_chunk stages contexts+negatives in bounded blocks: an epoch
     corpus handed to the sequential trainer must never materialize its
@@ -229,19 +135,19 @@ class TestBlockedStaging:
         blocks = list(_context_blocks(walks, WINDOW, 3))
         assert [len(b) for b in blocks] == [3, 3, 1]
 
-    def test_fused_draws_per_block(self):
+    def test_bulk_draws_per_block(self):
         """A call spanning multiple blocks draws one bulk pass per block —
         equivalent to splitting the call at block boundaries."""
         rng = np.random.default_rng(1)
         n_nodes = 20
         walks = [rng.integers(0, n_nodes, size=10) for _ in range(5)]
-        small = FusedKernel()
+        small = BlockedKernel()
         small.block_walks = 2  # force 3 blocks
         a = make_model("proposed", n_nodes, 8, seed=3)
         b = make_model("proposed", n_nodes, 8, seed=3)
         sa, sb = make_sampler(n_nodes), make_sampler(n_nodes)
         small.train_chunk(a, walks, sa, window=WINDOW, ns=NS)
-        whole = FusedKernel()
+        whole = BlockedKernel()
         for lo in range(0, len(walks), 2):
             whole.train_chunk(b, walks[lo : lo + 2], sb, window=WINDOW, ns=NS)
         assert np.array_equal(a.embedding, b.embedding)
@@ -249,7 +155,7 @@ class TestBlockedStaging:
     def test_stats_accumulate_across_blocks(self):
         rng = np.random.default_rng(2)
         walks = [rng.integers(0, 15, size=10) for _ in range(5)]
-        backend = FusedKernel()
+        backend = BlockedKernel()
         backend.block_walks = 2
         model = make_model("original", 15, 8, seed=0)
         stats = backend.train_chunk(model, walks, make_sampler(15),
@@ -259,7 +165,7 @@ class TestBlockedStaging:
 
 
 class TestBulkDrawContract:
-    """The fused backend's *negative stream* is one bulk alias pass per
+    """The blocked backend's *negative stream* is one bulk alias pass per
     chunk — same distribution, different RNG call pattern."""
 
     def test_draw_batch_shape_and_range(self):
@@ -284,23 +190,36 @@ class TestBulkDrawContract:
             trainer = WalkTrainer(model, window=WINDOW, ns=NS, exec_backend=backend)
             trainer.train_corpus(walks, make_sampler(n_nodes))
             results[backend] = (trainer, model.embedding)
-        ref, fus = results["reference"][0], results["fused"][0]
-        assert ref.n_walks == fus.n_walks
-        assert ref.n_contexts == fus.n_contexts
-        assert ref.ops.as_dict() == pytest.approx(fus.ops.as_dict())
-        assert not np.array_equal(results["reference"][1], results["fused"][1])
+        ref, blk = results["reference"][0], results["blocked"][0]
+        assert ref.n_walks == blk.n_walks
+        assert ref.n_contexts == blk.n_contexts
+        assert ref.ops.as_dict() == pytest.approx(blk.ops.as_dict())
+        assert not np.array_equal(results["reference"][1], results["blocked"][1])
 
     def test_per_walk_reuse_broadcasts_one_row_per_walk(self):
-        """per_walk reuse under fused: one bulk (n_walks, ns) draw, each
+        """per_walk reuse under blocked: one bulk (n_walks, ns) draw, each
         walk's contexts sharing its row — mirroring the FPGA policy."""
         rng = np.random.default_rng(9)
         walks = [rng.integers(0, 15, size=12) for _ in range(3)]
         contexts = prepare_contexts(walks, WINDOW)
-        negs = FusedKernel().draw_negatives(make_sampler(15), contexts, NS, "per_walk")
+        negs = BlockedKernel().draw_negatives(make_sampler(15), contexts, NS, "per_walk")
         assert len(negs) == 3
         for ctx, n in zip(contexts, negs, strict=True):
             assert n.shape == (ctx.n, NS)
             assert (n == n[0]).all()
+
+    def test_per_context_reuse_is_one_bulk_draw(self):
+        """per_context reuse under blocked: one bulk (C, ns) draw over the
+        whole chunk, split at walk boundaries in context order."""
+        rng = np.random.default_rng(10)
+        walks = [rng.integers(0, 15, size=n) for n in (12, 3, 9)]
+        contexts = prepare_contexts(walks, WINDOW)
+        negs = BlockedKernel().draw_negatives(
+            make_sampler(15), contexts, NS, "per_context"
+        )
+        assert [n.shape for n in negs] == [(ctx.n, NS) for ctx in contexts]
+        expect = make_sampler(15).draw_batch(contexts.n, NS)
+        assert np.array_equal(np.concatenate(negs), expect)
 
 
 class TestChunkStats:
@@ -309,7 +228,7 @@ class TestChunkStats:
         n_nodes = 25
         walks = make_chunk(rng, n_nodes, n_walks=6)
         model = make_model("block", n_nodes, 8, seed=1)
-        trainer = WalkTrainer(model, window=WINDOW, ns=NS, exec_backend="fused")
+        trainer = WalkTrainer(model, window=WINDOW, ns=NS, exec_backend="blocked")
         trainer.train_corpus(walks, make_sampler(n_nodes))
         expected = None
         for walk in walks:
@@ -337,22 +256,22 @@ class TestChunkStats:
 
 class TestBackendSelection:
     def test_model_preference_default(self):
-        model = make_model("proposed", 12, 4, seed=0, exec_backend="fused")
+        model = make_model("proposed", 12, 4, seed=0, exec_backend="blocked")
         trainer = WalkTrainer(model, window=WINDOW, ns=NS)
-        assert trainer.exec_backend == "fused"
+        assert trainer.exec_backend == "blocked"
 
     def test_trainer_override_records_on_model(self):
         model = make_model("proposed", 12, 4, seed=0)
         assert model.exec_backend == "reference"
-        trainer = WalkTrainer(model, window=WINDOW, ns=NS, exec_backend="fused")
-        assert trainer.exec_backend == "fused"
-        assert model.exec_backend == "fused"  # checkpoints record the run
+        trainer = WalkTrainer(model, window=WINDOW, ns=NS, exec_backend="blocked")
+        assert trainer.exec_backend == "blocked"
+        assert model.exec_backend == "blocked"  # checkpoints record the run
 
     def test_train_chunk_backend_arg_leaves_preference(self):
         model = make_model("proposed", 12, 4, seed=0)
         walks = [np.arange(10)]
         model.train_chunk(walks, make_sampler(12), window=WINDOW, ns=NS,
-                          backend="fused")
+                          backend="blocked")
         assert model.exec_backend == "reference"
 
     def test_custom_instance_does_not_poison_model_preference(self):
@@ -370,20 +289,20 @@ class TestBackendSelection:
         # the model stays usable and checkpointable
         model.train_chunk([np.arange(10)], make_sampler(12), window=WINDOW, ns=NS)
 
-    def test_invalid_backend_everywhere(self):
+    # "fused" was a backend once: only checkpoints still map it
+    @pytest.mark.parametrize("bad", ("warp", "fused"))
+    def test_invalid_backend_everywhere(self, bad):
         with pytest.raises(ValueError, match="exec_backend"):
-            # reprolint: disable=registry-sync(deliberately invalid name for the error path)
-            make_model("proposed", 12, 4, seed=0, exec_backend="warp")
+            make_model("proposed", 12, 4, seed=0, exec_backend=bad)
         model = make_model("proposed", 12, 4, seed=0)
         with pytest.raises(ValueError, match="exec_backend"):
-            # reprolint: disable=registry-sync(deliberately invalid name for the error path)
-            WalkTrainer(model, exec_backend="warp")
+            WalkTrainer(model, exec_backend=bad)
 
 
 class TestFallbackDispatch:
     def test_unknown_model_falls_back_to_train_walk(self):
-        """A custom EmbeddingModel without a fused kernel still trains
-        through the fused backend via its own train_walk."""
+        """A custom EmbeddingModel without a chunk kernel still trains
+        through the blocked backend via its own train_walk."""
         from repro.embedding.base import EmbeddingModel
         from repro.hw.opcount import OpCount
 
@@ -411,7 +330,7 @@ class TestFallbackDispatch:
         model = Recorder()
         walks = [np.arange(10), np.arange(8)]
         stats = model.train_chunk(
-            walks, make_sampler(15), window=WINDOW, ns=NS, backend="fused"
+            walks, make_sampler(15), window=WINDOW, ns=NS, backend="blocked"
         )
         assert model.calls == 2
         assert stats.n_walks == 2
@@ -497,7 +416,7 @@ class TestCompiledBitIdentity:
 
     def test_chunking_invariant(self):
         """compiled draws per walk like reference, so chunk splits cannot
-        move the sampler stream — unlike fused/blocked."""
+        move the sampler stream — unlike blocked."""
         assert CompiledKernel.chunk_invariant is True
         rng = np.random.default_rng(3)
         walks = make_chunk(rng, 25, n_walks=8)
@@ -601,5 +520,5 @@ class TestCompiledFallback:
     def test_registry_backends_report_their_own_name(self):
         """telemetry_name == name for every backend that runs what its
         name says; only the degraded compiled fallback decorates it."""
-        for name in ("reference", "fused", "blocked"):
+        for name in ("reference", "blocked"):
             assert make_backend(name).telemetry_name == name

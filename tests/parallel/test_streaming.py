@@ -7,6 +7,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.embedding import MODEL_REGISTRY
 from repro.graph import degree_corrected_sbm, ring_of_cliques
 from repro.parallel import (
     NEGATIVE_SOURCES,
@@ -184,7 +185,7 @@ class TestGoldenRegression:
     """Neither the negative-source strategy objects nor the kernel layer
     may move a single bit: these hashes pin the reference pipeline on this
     exact (unweighted) workload, whose walks draw one uniform per step, and
-    are pinned to ``exec_backend="reference"`` explicitly — the fused
+    are pinned to ``exec_backend="reference"`` explicitly — the blocked
     backend draws a different (bulk) negative stream by contract."""
 
     GOLD = {
@@ -241,17 +242,18 @@ class TestGoldenRegression:
         assert self.digest_of(res) == self.GOLD["degree"]
 
 
-class TestFusedBackendPipeline:
-    """``exec_backend="fused"`` relaxes bit-identity to fixed *physical*
+class TestBlockedBackendPipeline:
+    """``exec_backend="blocked"`` relaxes bit-identity to fixed *physical*
     chunking (the bulk negative draw is per chunk): identical across worker
     counts, prefetch depths and transports; different from reference (a
-    different, equally valid negative stream); pinned to chunk_size."""
+    different, equally valid negative stream); pinned to chunk_size;
+    ``chunk_size="auto"`` refused."""
 
     def run(self, graph, **kw):
         kw.setdefault("chunk_size", 16)
+        kw.setdefault("exec_backend", "blocked")
         return train_parallel(
-            graph, dim=8, hyper=HP, negative_source="degree",
-            exec_backend="fused", seed=5, **kw,
+            graph, dim=8, hyper=HP, negative_source="degree", seed=5, **kw,
         )
 
     def test_identical_across_workers_prefetch_and_transports(self, graph):
@@ -271,46 +273,28 @@ class TestFusedBackendPipeline:
         assert not np.array_equal(a.embedding, b.embedding)
 
     def test_differs_from_reference_but_counts_agree(self, graph):
-        fused = self.run(graph)
-        ref = train_parallel(
-            graph, dim=8, hyper=HP, chunk_size=16,
-            negative_source="degree", exec_backend="reference", seed=5,
-        )
-        assert not np.array_equal(fused.embedding, ref.embedding)
-        assert fused.n_walks == ref.n_walks
-        assert fused.n_contexts == ref.n_contexts
+        blocked = self.run(graph)
+        ref = self.run(graph, exec_backend="reference")
+        assert not np.array_equal(blocked.embedding, ref.embedding)
+        assert blocked.n_walks == ref.n_walks
+        assert blocked.n_contexts == ref.n_contexts
 
-    def test_telemetry_records_backend_and_throughput(self, graph):
-        res = self.run(graph, n_workers=2)
-        t = res.telemetry
-        assert t.exec_backend == "fused"
-        assert t.train_walks == res.n_walks
-        assert t.train_walks_per_s > 0
-
-    @pytest.mark.parametrize("model", ("original", "proposed", "dataflow", "block"))
-    def test_every_registry_model_trains_fused(self, graph, model):
-        res = self.run(graph, model=model)
-        assert np.isfinite(res.embedding).all()
-        assert res.n_walks == HP.r * graph.n_nodes
-
-    def test_invalid_backend_rejected(self, graph):
+    # "fused" was a backend once: only checkpoints still map it
+    @pytest.mark.parametrize("bad", ("warp", "fused"))
+    def test_invalid_backend_rejected(self, graph, bad):
         with pytest.raises(ValueError, match="exec_backend"):
-            # reprolint: disable=registry-sync(deliberately invalid name for the error path)
-            train_parallel(graph, hyper=HP, exec_backend="warp", seed=5)
+            train_parallel(graph, hyper=HP, exec_backend=bad, seed=5)
 
     def test_auto_chunking_rejected(self, graph):
         """chunk_size="auto" derives the schedule from workers + timing;
-        fused pins results to the schedule — the combination would be
+        blocked pins results to the schedule — the combination would be
         irreproducible and must be refused up front."""
         with pytest.raises(ValueError, match="auto"):
-            train_parallel(
-                graph, dim=8, hyper=HP, chunk_size="auto",
-                negative_source="degree", exec_backend="fused", seed=5,
-            )
-        # a model carrying the fused preference is caught the same way
+            self.run(graph, chunk_size="auto")
+        # a model carrying the blocked preference is caught the same way
         from repro.embedding import make_model
 
-        mdl = make_model("proposed", graph.n_nodes, 8, seed=0, exec_backend="fused")
+        mdl = make_model("proposed", graph.n_nodes, 8, seed=0, exec_backend="blocked")
         with pytest.raises(ValueError, match="auto"):
             train_parallel(
                 graph, model=mdl, hyper=HP, chunk_size="auto",
@@ -320,16 +304,13 @@ class TestFusedBackendPipeline:
         # validation runs before the trainer records any preference
         clean = make_model("proposed", graph.n_nodes, 8, seed=0)
         with pytest.raises(ValueError, match="auto"):
-            train_parallel(
-                graph, model=clean, hyper=HP, chunk_size="auto",
-                negative_source="degree", exec_backend="fused", seed=5,
-            )
+            self.run(graph, model=clean, chunk_size="auto")
         assert clean.exec_backend == "reference"
 
     def test_train_walk_honors_backend(self, graph):
         """Walk-by-walk driving must train with the backend the trainer
-        records: per-walk train_walk calls == one train_corpus call under
-        fused (same per-walk bulk draws)."""
+        records: per-walk train_walk calls == one train_corpus call per
+        walk under blocked (same per-walk bulk draws)."""
         from repro.embedding import WalkTrainer, make_model
         from repro.sampling.negative import NegativeSampler
 
@@ -338,7 +319,7 @@ class TestFusedBackendPipeline:
         embs = []
         for how in ("corpus", "walks"):
             mdl = make_model("original", graph.n_nodes, 8, seed=1)
-            tr = WalkTrainer(mdl, window=4, ns=3, exec_backend="fused")
+            tr = WalkTrainer(mdl, window=4, ns=3, exec_backend="blocked")
             sampler = NegativeSampler(np.ones(graph.n_nodes), seed=2)
             if how == "corpus":
                 for w in walks:  # chunk boundaries identical either way
@@ -348,40 +329,6 @@ class TestFusedBackendPipeline:
                     tr.train_walk(w, sampler)
             embs.append(mdl.embedding)
         assert np.array_equal(embs[0], embs[1])
-
-
-class TestBlockedBackendPipeline:
-    """``exec_backend="blocked"`` shares the fused negative-stream contract
-    (one bulk draw per chunk → pinned to the physical chunk schedule) and
-    adds the rank-k OS-ELM block solves: identical across worker counts,
-    prefetch depths and transports at a fixed chunk size; pinned to
-    chunk_size; ``chunk_size="auto"`` refused."""
-
-    def run(self, graph, **kw):
-        kw.setdefault("chunk_size", 16)
-        kw.setdefault("exec_backend", "blocked")
-        return train_parallel(
-            graph, dim=8, hyper=HP, negative_source="degree", seed=5, **kw,
-        )
-
-    def test_identical_across_workers_prefetch_and_transports(self, graph):
-        base = self.run(graph)
-        for kw in (
-            {"n_workers": 2},
-            {"n_workers": 2, "prefetch": 8},
-            {"n_workers": 2, "transport": "pickle"},
-        ):
-            res = self.run(graph, **kw)
-            assert np.array_equal(base.embedding, res.embedding), kw
-
-    def test_chunk_size_is_the_contract(self, graph):
-        a = self.run(graph, chunk_size=16)
-        b = self.run(graph, chunk_size=8)
-        assert not np.array_equal(a.embedding, b.embedding)
-
-    def test_auto_chunking_rejected(self, graph):
-        with pytest.raises(ValueError, match="auto"):
-            self.run(graph, chunk_size="auto")
 
     def test_telemetry_records_backend_and_context_rate(self, graph):
         res = self.run(graph)
@@ -394,7 +341,14 @@ class TestBlockedBackendPipeline:
             t.train_walks_per_s * res.n_contexts / res.n_walks
         )
 
-    @pytest.mark.parametrize("model", ("original", "proposed", "dataflow", "block"))
+    def test_telemetry_records_backend_and_throughput(self, graph):
+        res = self.run(graph, n_workers=2)
+        t = res.telemetry
+        assert t.exec_backend == "blocked"
+        assert t.train_walks == res.n_walks
+        assert t.train_walks_per_s > 0
+
+    @pytest.mark.parametrize("model", sorted(MODEL_REGISTRY))
     def test_every_registry_model_trains_blocked(self, graph, model):
         res = self.run(graph, model=model)
         assert np.isfinite(res.embedding).all()
@@ -416,7 +370,7 @@ class TestBlockedBackendPipeline:
 class TestCompiledBackendPipeline:
     """``exec_backend="compiled"`` is bit-identical to ``"reference"`` by
     contract — the goldens must pass under it **verbatim**, across worker
-    counts, prefetch depths, transports, and (unlike fused/blocked, since
+    counts, prefetch depths, transports, and (unlike blocked, since
     draws are per-walk) ``chunk_size="auto"``.  Without numba the string
     spelling degrades to a warned reference fallback; the kernels
     themselves are exercised via ``mode="jit"`` when numba is importable
@@ -729,14 +683,14 @@ class TestApiIntegration:
         trainer supports it too), and it rides into the pipelined path."""
         from repro import train_embedding
 
-        seq = train_embedding(graph, dim=8, hyper=HP, exec_backend="fused", seed=4)
+        seq = train_embedding(graph, dim=8, hyper=HP, exec_backend="blocked", seed=4)
         assert seq.telemetry is None
-        assert seq.model.exec_backend == "fused"
+        assert seq.model.exec_backend == "blocked"
         par = train_embedding(
             graph, dim=8, hyper=HP, n_workers=2, negative_source="degree",
-            exec_backend="fused", seed=4,
+            exec_backend="blocked", seed=4,
         )
-        assert par.telemetry.exec_backend == "fused"
+        assert par.telemetry.exec_backend == "blocked"
 
     def test_api_forwards_model_kwargs(self, graph):
         from repro import train_embedding

@@ -23,6 +23,10 @@ def jit(graph, train_parallel):
     return train_parallel(graph, exec_backend="compield")  # expect: registry-sync
 
 
+def retired(graph, train_parallel):
+    return train_parallel(graph, exec_backend="fused")  # expect: registry-sync
+
+
 def serve(train_dynamic, graph, store="ramdisk"):  # expect: registry-sync
     """Docstring drift: recommends store="tmpfs" for fast serving."""  # expect: registry-sync
     return train_dynamic(graph, store="mmap")  # expect: registry-sync

@@ -6,7 +6,7 @@ def run(graph, train_parallel):
     return train_parallel(
         graph,
         negative_source="corpus",
-        exec_backend="fused",
+        exec_backend="blocked",
         transport="shm",
         chunk_size="auto",
     )

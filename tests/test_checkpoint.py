@@ -28,6 +28,26 @@ def trained_proposed(cls=OSELMSkipGram, **kw):
     return m
 
 
+def rewrite_config(path, **changes):
+    """Rewrite a saved checkpoint's config in place (``None`` deletes a
+    field): hand-built files in older formats."""
+    import json
+
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files if k != "__meta__"}
+        meta = json.loads(bytes(data["__meta__"].tobytes()).decode())
+    for key, value in changes.items():
+        if value is None:
+            del meta["config"][key]
+        else:
+            meta["config"][key] = value
+    np.savez(
+        path,
+        __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+        **arrays,
+    )
+
+
 class TestRoundTrip:
     def test_proposed_roundtrip(self, tmp_path):
         m = trained_proposed()
@@ -93,7 +113,7 @@ class TestExecBackendConfig:
     training through the kernel it was trained with."""
 
     @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
-    @pytest.mark.parametrize("backend", ("reference", "fused", "blocked", "compiled"))
+    @pytest.mark.parametrize("backend", ("reference", "blocked", "compiled"))
     def test_backend_round_trips(self, tmp_path, name, backend):
         m = make_model(name, 20, 8, seed=3, exec_backend=backend)
         path = str(tmp_path / "b.npz")
@@ -104,32 +124,53 @@ class TestExecBackendConfig:
         """WalkTrainer(exec_backend=...) sets the model preference, so the
         checkpoint records the backend that actually trained it."""
         m = make_model("proposed", 20, 8, seed=3)
-        WalkTrainer(m, window=4, ns=3, exec_backend="fused")
+        WalkTrainer(m, window=4, ns=3, exec_backend="blocked")
         path = str(tmp_path / "t.npz")
         save_model(m, path)
-        assert load_model(path).exec_backend == "fused"
+        assert load_model(path).exec_backend == "blocked"
 
     def test_legacy_checkpoint_defaults_to_reference(self, tmp_path):
         """Checkpoints written before the kernel layer carry no backend
         field and must load as the bit-identical reference backend."""
-        import json
-
         m = trained_proposed()
         path = str(tmp_path / "legacy.npz")
         save_model(m, path)
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files if k != "__meta__"}
-            meta = json.loads(bytes(data["__meta__"].tobytes()).decode())
-        del meta["config"]["exec_backend"]
-        np.savez(
-            path,
-            __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-            **arrays,
-        )
+        rewrite_config(path, exec_backend=None)
         assert load_model(path).exec_backend == "reference"
 
+    @pytest.mark.parametrize(
+        "name, kw",
+        [pytest.param(name, {}, id=name) for name in sorted(MODEL_REGISTRY)]
+        + [
+            # cross-walk spans need a backend that stages whole blocks
+            pytest.param("batch_rls", {"defer_span": 16}, id="batch_rls-16"),
+            pytest.param("batch_rls", {"defer_span": "chunk"}, id="batch_rls-chunk"),
+        ],
+    )
+    def test_fused_checkpoint_loads_as_blocked(self, tmp_path, name, kw):
+        """The retired "fused" backend was "blocked" without the OS-ELM
+        block kernel: its checkpoints load, and keep training, as
+        "blocked" — bit-for-bit like a "blocked" checkpoint."""
+        rng = np.random.default_rng(5)
+        more = [rng.integers(0, 20, size=10) for _ in range(4)]
+        m = make_model(name, 20, 8, seed=3, exec_backend="blocked", **kw)
+        legacy, current = str(tmp_path / "fused.npz"), str(tmp_path / "b.npz")
+        save_model(m, legacy)
+        save_model(m, current)
+        # reprolint: disable=registry-sync(the retired name an old checkpoint carries)
+        rewrite_config(legacy, exec_backend="fused")
+        a, b = load_model(legacy), load_model(current)
+        assert a.exec_backend == "blocked"
+        ta = WalkTrainer(a, window=4, ns=3)
+        assert ta.exec_backend == "blocked"
+        ta.train_corpus(more, NegativeSampler(np.ones(20), seed=2))
+        WalkTrainer(b, window=4, ns=3).train_corpus(
+            more, NegativeSampler(np.ones(20), seed=2)
+        )
+        assert np.array_equal(a.embedding, b.embedding)
+
     @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
-    @pytest.mark.parametrize("backend", ("fused", "blocked", "compiled"))
+    @pytest.mark.parametrize("backend", ("blocked", "compiled"))
     def test_save_load_continue_training(self, tmp_path, name, backend):
         """save → load → continue: the restored model's trajectory through
         the kernel layer must match the uninterrupted one bit-for-bit, for
@@ -177,29 +218,17 @@ class TestBatchRLSCheckpoint:
     def test_legacy_batch_rls_defaults_to_walk_span(self, tmp_path):
         """A batch_rls checkpoint missing the defer_span field (hand-edited
         or future-proofing) loads at the universally-accepted default."""
-        import json
-
         m = make_model("batch_rls", 20, 8, seed=3, defer_span=16)
         path = str(tmp_path / "nospan.npz")
         save_model(m, path)
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files if k != "__meta__"}
-            meta = json.loads(bytes(data["__meta__"].tobytes()).decode())
-        del meta["config"]["defer_span"]
-        meta["config"]["exec_backend"] = "reference"  # must stay loadable
-        np.savez(
-            path,
-            __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-            **arrays,
-        )
+        rewrite_config(path, defer_span=None, exec_backend="reference")
         assert load_model(path).defer_span == "walk"
 
     @pytest.mark.parametrize(
         "backend,defer_span",
         [
             ("reference", "walk"),
-            ("fused", "walk"),
-            ("fused", 16),
+            ("blocked", "walk"),
             ("blocked", 16),
             ("blocked", "chunk"),
         ],
