@@ -13,7 +13,10 @@ CI-gates its two acceptance criteria:
 * **O(delta) transport** — on the pipelined seq replay,
   ``ipc_snapshot_bytes + ipc_delta_bytes`` under the delta transport must
   be ≤ 1/5 of the every-event-full bytes, with the final embedding
-  **bit-identical** between the two runs.
+  **bit-identical** between the two runs.  One-edge events are far below
+  ``POOL_MIN_WALK_STEPS``, so the pipeline would walk them in the consumer
+  and ship no snapshot at all; this comparison pins every chunk to the
+  pool to measure the transport.
 
 ``test_dynamic_stream_drift`` compares negative sources.  Both training
 phases of :func:`repro.dynamic.run_drift_scenario` run through the
@@ -50,6 +53,7 @@ from repro.graph.components import forest_split
 from repro.graph.csr import CSRGraph
 from repro.graph.dynamic import DynamicGraph, edge_stream
 from repro.graph.generators import degree_corrected_sbm
+from repro.parallel import pipeline
 from repro.sampling.sources import DecayedSource
 
 N_WORKERS = 2
@@ -84,7 +88,7 @@ def _replay_rate(engine_apply, removed, n_events):
     return n_events / elapsed if elapsed else float("inf"), snap
 
 
-def test_dynamic_stream_delta(benchmark, emit_report, profile):
+def test_dynamic_stream_delta(benchmark, emit_report, profile, monkeypatch):
     n_nodes = 2000 if profile == "paper" else 800
     n_events = 400 if profile == "paper" else 200
     max_train_events = 192 if profile == "paper" else 96
@@ -124,6 +128,8 @@ def test_dynamic_stream_delta(benchmark, emit_report, profile):
             report.data[label] = {"events": n_events, "events_per_s": rate}
 
         # -- pipelined seq replay: full-every-event vs delta transport ------
+        # every chunk to the pool, so snapshots and deltas ship to workers
+        monkeypatch.setattr(pipeline, "POOL_MIN_WALK_STEPS", 0)
         runs = {}
         for label, rebase in (
             ("full snapshots (pipeline)", 1),

@@ -116,7 +116,10 @@ def train_embedding(
     n_workers:
         ``None`` (default) — the sequential trainer.  Any integer routes
         through the streaming pipeline (:func:`repro.parallel.train_parallel`):
-        0/1 inline, ≥2 a fork pool overlapping walk generation with training.
+        0/1 inline, ≥2 at most that many pool workers overlapping walk
+        generation with training (chunks too small to pay a worker round
+        trip walk inline, see
+        :data:`repro.parallel.pipeline.POOL_MIN_WALK_STEPS`).
     negative_source:
         pipeline-only knob; a name from
         :data:`repro.sampling.sources.SOURCE_REGISTRY` or a
@@ -267,8 +270,11 @@ def train_dynamic(
 
 {backends}
 
-    ``snapshot_rebase_every`` tunes the replay's delta transport: with a
-    worker pool only every K-th snapshot ships in full, the rest as
+    ``snapshot_rebase_every`` tunes the replay's delta transport: when
+    event chunks go to the worker pool (events of at least
+    :data:`~repro.parallel.pipeline.POOL_MIN_WALK_STEPS` walk-steps;
+    smaller ones walk inline and ship nothing) only every K-th snapshot
+    ships in full, the rest as
     O(delta) new-edge payloads workers patch into their cached CSR (see
     :func:`repro.parallel.train_parallel`; ``1`` disables, embeddings are
     bit-identical either way).

@@ -174,7 +174,10 @@ def run_seq_scenario(
     snapshot_rebase_every:
         delta-transport re-base period, forwarded to
         :func:`~repro.parallel.train_parallel`.  The replay's tasks carry
-        per-event deltas, so with a worker pool only every K-th snapshot
+        per-event deltas, so when event chunks go to the worker pool
+        (events of at least
+        :data:`~repro.parallel.pipeline.POOL_MIN_WALK_STEPS` walk-steps;
+        smaller ones walk inline and ship nothing) only every K-th snapshot
         ships in full — the rest are O(delta) edge payloads workers patch
         into their cached CSR (``1`` disables; embeddings are
         bit-identical either way, and ``ipc_delta_bytes`` /

@@ -16,6 +16,14 @@ This module provides
   :class:`~repro.parallel.tasks.WalkTask` items — the static corpus is one
   task; a dynamic-graph replay is many, each tagged with its snapshot
   epoch and carrying its own immutable graph snapshot.
+* chunk placement — a chunk of fewer than :data:`POOL_MIN_WALK_STEPS`
+  walk-steps (an edge event's few walks) walks in the consumer, where a
+  worker round trip would cost more than the walk; larger chunks go to the
+  pool, which is forked on the first of them.  ``n_workers`` is therefore
+  a cap: a stream of small chunks never starts a worker.  The window never
+  pulls the task stream past an inline chunk, so a live event is walked
+  and trained as soon as it arrives, not once ``prefetch`` later events
+  have.
 * :func:`train_parallel` — the full pipeline: walk tasks → chunks of start
   nodes → worker walks → in-order training, with the main process training
   chunk *i* while workers generate chunks *i+1 … i+prefetch*.
@@ -49,8 +57,8 @@ many walk-payload bytes actually crossed the pickle channel.
 
 Snapshot transport (task streams)
 ---------------------------------
-Dynamic-replay tasks carry graph snapshots; their chunk jobs hand workers a
-tiny reference into the publish-once
+Dynamic-replay tasks carry graph snapshots; their pooled chunk jobs hand
+workers a tiny reference into the publish-once
 :class:`~repro.parallel.snapshots.SnapshotStore` (shared-memory segment,
 pickled once per snapshot, deserialized once per worker) instead of
 re-pickling the snapshot per job.  ``PipelineTelemetry.ipc_snapshot_bytes``
@@ -61,7 +69,10 @@ publishes in full once, subsequent snapshots ship only O(delta) pickled
 edge arrays that workers patch into their cached CSR, and every
 ``snapshot_rebase_every``-th snapshot re-bases with a fresh full publish
 (``ipc_delta_bytes`` / ``delta_applies`` / ``rebase_count`` in the
-telemetry; ``snapshot_rebase_every=1`` disables deltas).
+telemetry; ``snapshot_rebase_every=1`` disables deltas).  A chunk walked in
+the consumer ships nothing; when it breaks a delta chain, the next pooled
+snapshot's delta no longer explains its arc growth and the store re-bases
+with a full publish.
 
 Execution backends (``exec_backend``)
 -------------------------------------
@@ -108,7 +119,8 @@ Determinism: walk *j* derives its stream from (base seed, walk namespace,
 global walk index *j*), the start list from a disjoint (base seed, starts
 namespace) stream, and results are consumed in order — so the trained
 embedding is **bit-identical for any worker count, prefetch depth, chunk
-size (fixed or "auto") and transport** under every ``negative_source``.
+size (fixed or "auto"), transport and chunk placement** under every
+``negative_source``.
 For ``"decayed"`` the sampler state additionally depends on the canonical
 *virtual* chunk schedule, so its bit-identity contract is relaxed to runs
 with the same ``virtual_chunk`` — still independent of worker count,
@@ -155,6 +167,7 @@ if TYPE_CHECKING:  # annotation-only: the experiments layer stays lazy
 
 __all__ = [
     "NEGATIVE_SOURCES",
+    "POOL_MIN_WALK_STEPS",
     "TRANSPORTS",
     "ParallelWalkGenerator",
     "PipelineTelemetry",
@@ -165,6 +178,22 @@ __all__ = [
 
 #: Valid ``transport`` settings (see module docstring).
 TRANSPORTS = ("shm", "pickle")
+
+#: Smallest chunk, in walk-steps (walks × walk length), that walks in the
+#: worker pool; smaller chunks walk in the consumer.  A pooled chunk pays a
+#: round trip (job out, batch back) and, on a replay, its snapshot or delta;
+#: it wins only by overlapping its walk with training.  Measured with
+#: training in the loop (``"proposed"``, ``"blocked"``, d = 32, two workers)
+#: on a 2-vCPU x86 VM: streams of equal chunks of 20-step walks on a
+#: 1000-node degree-corrected SBM (mean degree 8), time per walk-step
+#: pooled / inline, best of 5:
+#:
+#: * every chunk on its own one-edge snapshot (the dynamic replay, delta
+#:   transport): 1.50 at 80 walk-steps, 1.22 at 320, 1.14 at 640, 1.04 at
+#:   960, 0.93 at 1280 and 0.95 at 1920;
+#: * every chunk on the base graph: 1.30 at 160, 1.20 at 320, 0.99 at 480,
+#:   1.04 at 640 and 0.95 at 960.
+POOL_MIN_WALK_STEPS = 1024
 
 # Seed namespaces: walk j draws from SeedSequence([seed, _WALK_NS, j]) where
 # j is the *global* walk index — chunking-invariant by construction — and
@@ -180,8 +209,8 @@ _STARTS_NS = 1
 _LIVENESS_POLL_S = 0.2
 
 # Worker globals, populated by the pool initializer via fork/spawn.  Only
-# pool worker processes ever write these; the inline path passes state
-# explicitly.
+# pool worker processes ever write these; chunks walked in the consumer
+# pass state explicitly.
 _WORKER_GRAPH: CSRGraph | None = None
 _WORKER_PARAMS: WalkParams | None = None
 _WORKER_SEED: int | None = None
@@ -293,17 +322,20 @@ def _await_chunk(pool: Any, workers: list, fut: Any, lo: int, hi: int) -> tuple:
 class _FlowStats:
     """In-flight walk accounting for one generation pass.
 
-    ``peak_in_flight`` is the high-water mark of walks submitted to workers
-    but not yet handed to the consumer, i.e. the quantity the bounded
-    prefetch window is supposed to cap.  ``ipc_walk_bytes`` counts the walk
-    payload bytes that crossed the pickle channel (zero for chunks moved
-    through the shm ring).  All hooks run on the consumer thread
-    (submission is consumer-driven), so no locking is needed.
+    ``peak_in_flight`` is the high-water mark of walks pulled into the
+    window (submitted to workers, or waiting to walk in the consumer) but
+    not yet handed to the consumer, i.e. the quantity the bounded prefetch
+    window is supposed to cap.  ``inline_chunks`` counts the chunks the
+    consumer walked itself.  ``ipc_walk_bytes`` counts the walk payload
+    bytes that crossed the pickle channel (zero for chunks moved through
+    the shm ring).  All hooks run on the consumer thread (submission is
+    consumer-driven), so no locking is needed.
     """
 
     def __init__(self) -> None:
         self.submitted_walks = 0
         self.consumed_walks = 0
+        self.inline_chunks = 0
         self.peak_in_flight = 0
         self.ipc_walk_bytes = 0
         self.snapshot_bytes = 0
@@ -326,16 +358,21 @@ class _FlowStats:
 class PipelineTelemetry:
     """Per-stage timing + transport telemetry of one :func:`train_parallel`.
 
-    ``generation_s`` sums the worker-side walk time (it may be fully hidden
-    behind training); ``wait_s`` is the consumer's observable stall waiting
-    for the next chunk; ``train_s`` is time inside the trainer.  A perfect
-    pipeline hides all generation: ``wait_s ≈ 0``, ``overlap_efficiency ≈ 1``.
+    ``generation_s`` sums the walk time of every chunk (a pooled chunk's
+    may be fully hidden behind training); ``wait_s`` is the consumer's
+    observable stall waiting for the next chunk, which includes walking the
+    chunks it walks itself; ``train_s`` is time inside the trainer.  A
+    perfect pipeline hides all generation: ``wait_s ≈ 0``,
+    ``overlap_efficiency ≈ 1``.
 
     ``transport`` is the transport the last generation pass actually used
-    (``"inline"`` when no worker pool ran, else ``"shm"``/``"pickle"`` after
-    any availability fallback); ``ipc_walk_bytes`` the walk payload bytes
-    that crossed the pickle channel (each chunk's padded ``WalkBatch``:
-    rows plus lengths); ``chunk_sizes`` the per-epoch chunk
+    (``"inline"`` when no chunk went to the worker pool, else
+    ``"shm"``/``"pickle"`` after any availability fallback);
+    ``inline_chunks`` counts the chunks walked in the consumer instead (all
+    of them when ``n_workers <= 1``, else those under
+    :data:`POOL_MIN_WALK_STEPS` walk-steps); ``ipc_walk_bytes`` the walk
+    payload bytes that crossed the pickle channel (each chunk's padded
+    ``WalkBatch``: rows plus lengths); ``chunk_sizes`` the per-epoch chunk
     size (one entry per epoch — informative under ``chunk_size="auto"``).
 
     ``n_chunks`` counts every chunk *consumed*, so per-chunk averages like
@@ -402,6 +439,7 @@ class PipelineTelemetry:
     total_s: float = 0.0
     peak_buffered_walks: int = 0
     transport: str = ""
+    inline_chunks: int = 0
     ipc_walk_bytes: int = 0
     chunk_sizes: list[int] = field(default_factory=list)
     sampler_rebuilds: int = 0
@@ -456,7 +494,10 @@ class ParallelWalkGenerator:
         the base graph (walked when a task carries no snapshot) and how to
         walk it.
     n_workers:
-        0 or 1 → inline generation (no processes); ≥2 → a fork pool.
+        the most walk processes to use.  0 or 1 → every chunk walks in the
+        consumer; ≥2 → chunks of at least :data:`POOL_MIN_WALK_STEPS`
+        walk-steps go to a fork pool of this size, started on the first of
+        them, and smaller chunks still walk in the consumer.
     chunk_size:
         start nodes per work item; larger chunks amortize per-chunk
         overhead, smaller chunks pipeline better.  Chunking never changes
@@ -471,17 +512,20 @@ class ParallelWalkGenerator:
         ``max(2, 2 * n_workers)``).  Bounds peak buffered walks at
         ``prefetch * chunk_size`` regardless of corpus size — and bounds
         how many task snapshots are alive at once on the dynamic path.
+        The window never reaches past a chunk the consumer walks itself:
+        the task after it is pulled only once it has been consumed.
     transport:
-        ``"shm"`` (default) — chunks travel through a shared-memory ring,
-        zero-copy; ``"pickle"`` — chunks ride the pool's result pipe.
-        Ignored on the inline path (no IPC).  ``effective_transport``
-        records what the last pass actually used after fallback.
+        ``"shm"`` (default) — pooled chunks travel through a shared-memory
+        ring, zero-copy; ``"pickle"`` — they ride the pool's result pipe.
+        Chunks walked in the consumer use no IPC.  ``effective_transport``
+        records what the last pass actually used after fallback
+        (``"inline"`` when no chunk was pooled).
     snapshot_rebase_every:
         delta-chain length limit for the snapshot transport: when tasks
         carry deltas, one snapshot in ``snapshot_rebase_every`` publishes
         in full and the rest ship as O(delta) edge payloads.  ``1``
         disables deltas (every snapshot full); ignored for delta-free
-        streams and on the inline path.
+        streams and for chunks walked in the consumer.
     """
 
     def __init__(
@@ -512,8 +556,8 @@ class ParallelWalkGenerator:
         self.prefetch = int(prefetch)
         self.transport = transport
         self.snapshot_rebase_every = int(snapshot_rebase_every)
-        #: transport the most recent pass actually used
-        #: ("inline" | "shm" | "pickle"; None before the first pass)
+        #: transport the most recent pass actually used ("inline" while no
+        #: chunk was pooled, else "shm" | "pickle"; None before any pass)
         self.effective_transport: str | None = None
         #: flow accounting of the most recent generation pass
         self.last_stats = _FlowStats()
@@ -587,67 +631,68 @@ class ParallelWalkGenerator:
         ``tasks`` is any (possibly lazy) iterable of
         :class:`~repro.parallel.tasks.WalkTask`; ``None`` means the single
         static-corpus task on the base graph.  The task iterator advances
-        only as jobs are submitted, so a lazy dynamic-replay stream is
-        never materialized more than ``prefetch`` chunks ahead — which also
+        only as jobs are pulled, so a lazy dynamic-replay stream is never
+        materialized more than ``prefetch`` chunks ahead — which also
         bounds how many graph snapshots are alive at once.
 
-        The prefetch window is driven entirely from the consumer side: jobs
-        are submitted with ``apply_async`` and consumed FIFO, one fresh
-        submission per consumed chunk.  Workers therefore never run more
-        than ``prefetch`` chunks ahead — the property the streaming
+        Placement: a chunk of fewer than :data:`POOL_MIN_WALK_STEPS`
+        walk-steps (walks × ``params.length``) walks here, in the consumer,
+        when the consumer reaches it; larger chunks go to the worker pool,
+        which is forked on the first of them (never, if there is none, or
+        if ``n_workers <= 1``).  The job stream is never pulled past an
+        inline chunk: the next task is not requested before that chunk has
+        been yielded and the consumer asks for more, so an event-sized
+        chunk of a live stream trains without waiting for later events.
+        Either placement walks the same bits (per-walk seeding).
+
+        The prefetch window is driven entirely from the consumer side:
+        pooled jobs are submitted with ``apply_async`` and consumed FIFO,
+        one fresh pull per consumed chunk.  Workers therefore never run
+        more than ``prefetch`` chunks ahead — the property the streaming
         trainer's memory bound rests on — and no pool-internal thread ever
         blocks on caller state (throttling the lazy ``imap`` job feed
         instead can strand the pool's task-handler thread at shutdown,
         which ``Pool.terminate`` then joins forever).  ``self.last_stats``
         records the realized high-water mark.
 
-        Under the shm transport the yielded walk arrays are *views* into a
-        ring slot, valid only until the next chunk is requested; consume
-        them before advancing the iterator, or copy (this is what makes
-        the transport zero-copy on the streaming train path).  The ring
-        carries ``prefetch + 1`` slots so a fresh job can be dispatched
-        while the consumer still reads the chunk just handed over.
+        Under the shm transport the yielded walk arrays of a pooled chunk
+        are *views* into a ring slot, valid only until the next chunk is
+        requested; consume them before advancing the iterator, or copy
+        (this is what makes the transport zero-copy on the streaming train
+        path).  The ring carries ``prefetch + 1`` slots so a fresh job can
+        be dispatched while the consumer still reads the chunk just handed
+        over.
         """
         if tasks is None:
             tasks = [WalkTask(starts=self.corpus_starts())]
         job_iter = self._job_stream(tasks)
         stats = self.last_stats = _FlowStats()
-
-        if self.n_workers <= 1:
-            self.effective_transport = "inline"
-            for chunk_starts, lo, epoch, task_graph, _sid, _delta in job_iter:
-                stats.on_submit(len(chunk_starts))
-                batch, gen_s = _run_chunk(
-                    task_graph if task_graph is not None else self.graph,
-                    self.params,
-                    chunk_starts,
-                    self.seed,
-                    lo,
-                )
-                walks = batch.walks()
-                stats.on_consume(len(walks))
-                yield walks, gen_s, epoch
-            return
-
-        ring: ShmWalkRing | None = None
-        transport = self.transport
-        if transport == "shm":
-            try:
-                # one slot more than the window: a new job is dispatched
-                # while the consumer still holds views of the chunk it was
-                # just handed, so full prefetch depth stays in flight
-                ring = ShmWalkRing.create(
-                    self.prefetch + 1, self.chunk_size, self.params.length
-                )
-            except Exception:  # no /dev/shm, size limits, … → portable path
-                ring = None
-                transport = "pickle"
-        self.effective_transport = transport
-
-        ctx = mp.get_context("fork" if os.name == "posix" else "spawn")
+        self.effective_transport = "inline"
         store = SnapshotStore(rebase_every=self.snapshot_rebase_every)
-        try:
-            with ctx.Pool(
+        pool: Any = None
+        ring: ShmWalkRing | None = None
+        workers: list = []
+        free_slots: deque = deque()
+        # the window, in job order: (job, ring slot, future); a None future
+        # marks a chunk the consumer walks itself
+        pending: deque = deque()
+
+        def _start_pool() -> None:
+            nonlocal pool, ring
+            transport = self.transport
+            if transport == "shm":
+                try:
+                    # one slot more than the window: a new job is dispatched
+                    # while the consumer still holds views of the chunk it
+                    # was just handed, so full prefetch depth stays in flight
+                    ring = ShmWalkRing.create(
+                        self.prefetch + 1, self.chunk_size, self.params.length
+                    )
+                    free_slots.extend(range(ring.n_slots))
+                except Exception:  # no /dev/shm, size limits, … → portable path
+                    transport = "pickle"
+            ctx = mp.get_context("fork" if os.name == "posix" else "spawn")
+            pool = ctx.Pool(
                 self.n_workers,
                 initializer=_init_worker,
                 initargs=(
@@ -656,74 +701,100 @@ class ParallelWalkGenerator:
                     self.seed,
                     ring.spec if ring is not None else None,
                 ),
-            ) as pool:
-                pending: deque = deque()
-                workers = list(pool._pool)
-                free_slots: deque = deque(range(ring.n_slots)) if ring else deque()
+            )
+            workers.extend(pool._pool)
+            self.effective_transport = transport
 
-                def _submit_next() -> None:
-                    job = next(job_iter, None)
-                    if job is None:
-                        return
-                    chunk_starts, lo, epoch, task_graph, sid, delta = job
-                    stats.on_submit(len(chunk_starts))
-                    # publish-once snapshot transport: the job carries a
-                    # tiny reference, not the pickled graph, after the
-                    # snapshot's first chunk — and only an O(delta) edge
-                    # payload when the task's delta can extend a live chain
-                    graph_ref = (
-                        store.ref_for(sid, task_graph, delta)
-                        if sid is not None
-                        else None
+        def _pull() -> None:
+            """Fill the window up to ``prefetch`` chunks, stopping at the
+            first inline chunk (it is walked before anything after it is
+            pulled)."""
+            while len(pending) < self.prefetch and not (
+                pending and pending[-1][2] is None
+            ):
+                job = next(job_iter, None)
+                if job is None:
+                    return
+                chunk_starts, lo, _epoch, task_graph, sid, delta = job
+                stats.on_submit(len(chunk_starts))
+                # read at call time, so tests can move every chunk to the pool
+                if (
+                    self.n_workers <= 1
+                    or len(chunk_starts) * self.params.length < POOL_MIN_WALK_STEPS
+                ):
+                    pending.append((job, None, None))
+                    continue
+                if pool is None:
+                    _start_pool()
+                # publish-once snapshot transport: the job carries a tiny
+                # reference, not the pickled graph, after the snapshot's
+                # first chunk — and only an O(delta) edge payload when the
+                # task's delta can extend a live chain
+                graph_ref = (
+                    store.ref_for(sid, task_graph, delta) if sid is not None else None
+                )
+                if ring is not None:
+                    slot = free_slots.popleft()
+                    fut = pool.apply_async(
+                        _walk_chunk_shm, ((slot, chunk_starts, lo, graph_ref),)
                     )
-                    hi = lo + len(chunk_starts)
-                    if ring is not None:
-                        slot = free_slots.popleft()
-                        pending.append(
-                            (slot, epoch, sid, lo, hi, pool.apply_async(
-                                _walk_chunk_shm,
-                                ((slot, chunk_starts, lo, graph_ref),),
-                            ))
-                        )
-                    else:
-                        pending.append(
-                            (None, epoch, sid, lo, hi, pool.apply_async(
-                                _walk_chunk_pickle,
-                                ((chunk_starts, lo, graph_ref),),
-                            ))
-                        )
+                else:
+                    slot = None
+                    fut = pool.apply_async(
+                        _walk_chunk_pickle, ((chunk_starts, lo, graph_ref),)
+                    )
+                pending.append((job, slot, fut))
 
-                for _ in range(self.prefetch):
-                    _submit_next()
-                # FIFO consumption of the submission order → deterministic
-                while pending:
-                    slot, epoch, sid, lo, hi, fut = pending.popleft()
-                    result = _await_chunk(pool, workers, fut, lo, hi)
+        try:
+            # FIFO consumption of the pull order → deterministic
+            while True:
+                _pull()
+                if not pending:
+                    return
+                job, slot, fut = pending.popleft()
+                chunk_starts, lo, epoch, task_graph, sid, _delta = job
+                if fut is None:
+                    batch, gen_s = _run_chunk(
+                        task_graph if task_graph is not None else self.graph,
+                        self.params,
+                        chunk_starts,
+                        self.seed,
+                        lo,
+                    )
+                    walks = batch.walks()
+                    stats.inline_chunks += 1
+                else:
+                    result = _await_chunk(
+                        pool, workers, fut, lo, lo + len(chunk_starts)
+                    )
                     if sid is not None:
                         # FIFO: a result for sid proves every job of any
                         # lower sid completed → its segment can go
                         store.retire_below(sid)
                     if result[0] == "shm":
-                        _, slot_idx, _count, gen_s = result
-                        walks = ring.read(slot_idx)
-                        stats.on_consume(len(walks))
-                        _submit_next()
-                        yield walks, gen_s, epoch
-                        # consumer is done with the slot's views: recycle,
-                        # and drop our own frame's view ref so the ring can
-                        # unmap cleanly at shutdown
-                        free_slots.append(slot_idx)
-                        walks = None
+                        walks, gen_s = ring.read(slot), result[3]
                     else:
                         _, batch, gen_s = result
                         walks = batch.walks()
-                        stats.on_consume(len(walks))
                         stats.ipc_walk_bytes += batch.nbytes
                         if slot is not None:  # ragged fallback: slot unused
                             free_slots.append(slot)
-                        _submit_next()
-                        yield walks, gen_s, epoch
+                            slot = None
+                stats.on_consume(len(walks))
+                if fut is not None:
+                    # workers keep walking while this chunk trains; behind
+                    # an inline chunk nothing was pulled, and nothing is yet
+                    _pull()
+                yield walks, gen_s, epoch
+                # consumer is done with the slot's views: recycle, and drop
+                # our own frame's view ref so the ring can unmap cleanly at
+                # shutdown
+                if slot is not None:
+                    free_slots.append(slot)
+                walks = None
         finally:
+            if pool is not None:
+                pool.terminate()
             stats.snapshot_bytes = store.bytes_shipped
             stats.snapshot_bytes_saved = store.bytes_saved
             stats.delta_bytes = store.delta_bytes_shipped
@@ -802,6 +873,14 @@ def train_parallel(
     (``"shm"`` zero-copy ring, default, falling back to ``"pickle"`` when
     shared memory is unavailable or a chunk outgrows its slot).
 
+    ``n_workers`` is a cap, not a promise: a chunk of fewer than
+    :data:`POOL_MIN_WALK_STEPS` walk-steps — a dynamic replay's per-event
+    chunk — walks in the main process, and the pool is forked only when
+    the first larger chunk arrives.  Nothing is pulled from the task stream
+    past such an inline chunk before it has trained, so an open-loop
+    replay trains each event as it arrives.  Placement changes no bit of
+    the result.
+
     How soon training can start — and how the sampler tracks the stream —
     is governed by ``negative_source``: a name from
     :data:`repro.sampling.sources.SOURCE_REGISTRY` or a pre-constructed
@@ -856,7 +935,8 @@ def train_parallel(
     CSR — bit-identical embeddings, O(delta) IPC per event.  ``1``
     disables deltas; the default is
     :data:`repro.parallel.snapshots.DEFAULT_REBASE_EVERY`.  No effect on
-    delta-free streams, the static corpus, or the inline path.
+    delta-free streams, the static corpus, or chunks walked in the main
+    process.
 
     ``store`` hooks the run up to the serving layer: pass a
     :data:`repro.store.STORE_REGISTRY` name or a live
@@ -1006,6 +1086,7 @@ def train_parallel(
         tele.ipc_delta_bytes += stats.delta_bytes
         tele.delta_applies += stats.delta_applies
         tele.rebase_count += stats.rebase_count
+        tele.inline_chunks += stats.inline_chunks
         tele.transport = gen.effective_transport
 
     def _train(walks: list) -> None:

@@ -248,7 +248,7 @@ class SnapshotStore:
 
 #: Worker-side cache: sid → deserialized graph.  Populated only inside pool
 #: worker processes (forked children start with the parent's — empty — dict;
-#: the inline path never touches snapshot refs).
+#: chunks walked in the consumer never touch snapshot refs).
 _WORKER_SNAPSHOTS: dict[int, object] = {}
 
 

@@ -21,6 +21,8 @@ def graph():
     return ring_of_cliques(5, 8, seed=0)
 
 
+# the replay's event chunks are tiny; keep these tests on the pool
+@pytest.mark.usefixtures("pooled")
 class TestSeqThroughPipeline:
     def test_workers_and_transports_bit_identical(self, graph):
         base = run_seq_scenario(

@@ -104,11 +104,12 @@ class TestController:
             )
 
 
+@pytest.mark.usefixtures("pooled")  # the chunks here are tiny
 class TestTelemetryInvariants:
     """The accounting contracts of PipelineTelemetry (ISSUE satellite)."""
 
-    @pytest.fixture(scope="class")
-    def result(self, graph):
+    @pytest.fixture
+    def result(self, graph, pooled):
         return train_parallel(
             graph, dim=8, hyper=HP, n_workers=2, chunk_size=8, prefetch=2,
             negative_source="degree", seed=5, epochs=2,

@@ -17,6 +17,10 @@ from repro.sampling.walks import WalkParams
 HP = Node2VecParams(r=2, l=12, w=4, ns=3)
 
 
+# the chunks here are tiny; keep the pool-mechanics tests on the pool
+pytestmark = pytest.mark.usefixtures("pooled")
+
+
 @pytest.fixture(scope="module")
 def graph():
     return ring_of_cliques(4, 8, seed=0)
@@ -154,14 +158,21 @@ class TestTrainParallel:
 # shm transport, SIGKILL (as the OOM killer does) under pickle — a second
 # in, so the first chunk has long arrived when chunk 1 is lost — and prints,
 # per transport, the WorkerDiedError's walk range and exit codes, then the
-# shared-memory segments the runs left behind.
+# shared-memory segments the runs left behind.  By default every chunk goes
+# to the pool; with the argument "mixed" the placement rule stands and the
+# stream is a 4-walk chunk (walked in the consumer) then a 128-walk chunk
+# (walked, and lost, in the pool).
 DEAD_WORKER_SCRIPT = """
-import json, os, signal, time
+import json, os, signal, sys, time
+import numpy as np
 import repro.parallel.pipeline as pl
 from repro.experiments.hyper import Node2VecParams
 from repro.graph import ring_of_cliques
-from repro.parallel import WorkerDiedError, train_parallel
+from repro.parallel import WalkTask, WorkerDiedError, train_parallel
 
+MIXED = sys.argv[1:] == ["mixed"]
+if not MIXED:
+    pl.POOL_MIN_WALK_STEPS = 0
 real = pl._run_chunk
 def dying(graph, params, starts, seed, lo):
     if lo > 0:
@@ -172,13 +183,18 @@ def dying(graph, params, starts, seed, lo):
     return real(graph, params, starts, seed, lo)
 pl._run_chunk = dying
 
+g = ring_of_cliques(4, 8, seed=0)
+kw = dict(n_workers=2, chunk_size=8)
+if MIXED:
+    kw = dict(n_workers=2, chunk_size=128, tasks=[
+        WalkTask(starts=np.arange(4)), WalkTask(starts=np.arange(128) % g.n_nodes),
+    ])
 shm_before = set(os.listdir("/dev/shm"))
 out = {}
 for TRANSPORT in ("shm", "pickle"):
     try:
-        train_parallel(ring_of_cliques(4, 8, seed=0), dim=8,
-                       hyper=Node2VecParams(r=2, l=12, w=4, ns=3),
-                       n_workers=2, chunk_size=8, transport=TRANSPORT)
+        train_parallel(g, dim=8, hyper=Node2VecParams(r=2, l=12, w=4, ns=3),
+                       transport=TRANSPORT, **kw)
     except WorkerDiedError as e:
         out[TRANSPORT] = [e.lo, e.hi, sorted(set(e.exitcodes))]
 out["leaked"] = sorted(set(os.listdir("/dev/shm")) - shm_before)
@@ -186,22 +202,36 @@ print(json.dumps(out))
 """
 
 
+def _run_dead_worker_script(*args: str) -> dict:
+    """Run the script in a subprocess under a timeout, so a regression
+    fails, not hangs; returns its JSON report."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c", DEAD_WORKER_SCRIPT, *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
 class TestDeadWorker:
     def test_dead_worker_raises_named_error(self):
         """A dead walk worker fails the run with the lost chunk's walk range
-        instead of hanging it, and leaves no shared memory behind.  The run
-        is a subprocess under a timeout, so a regression fails, not hangs."""
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[2] / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        out = subprocess.run(
-            [sys.executable, "-c", DEAD_WORKER_SCRIPT],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert out.returncode == 0, out.stderr
-        res = json.loads(out.stdout.strip().splitlines()[-1])
+        instead of hanging it, and leaves no shared memory behind."""
+        res = _run_dead_worker_script()
         # chunk 0 = walks [0, 8) arrives; chunk 1's worker dies first
         assert res["shm"] == [8, 16, [1]]
         assert res["pickle"] == [8, 16, [-9]]
+        assert res["leaked"] == []
+
+    def test_mixed_stream_names_the_lost_pooled_chunk(self):
+        """Under the placement rule the 4-walk chunk [0, 4) walks in the
+        consumer and the 128-walk chunk [4, 132) in the pool; its worker's
+        death names that chunk's range."""
+        res = _run_dead_worker_script("mixed")
+        assert res["shm"] == [4, 132, [1]]
+        assert res["pickle"] == [4, 132, [-9]]
         assert res["leaked"] == []

@@ -18,6 +18,10 @@ from repro.parallel.snapshots import SnapshotStore, resolve_snapshot_ref
 HP = Node2VecParams(r=2, l=12, w=4, ns=3)
 
 
+# the chunks here are tiny; keep the pool-mechanics tests on the pool
+pytestmark = pytest.mark.usefixtures("pooled")
+
+
 @pytest.fixture(scope="module")
 def graph():
     return ring_of_cliques(4, 8, seed=0)

@@ -24,6 +24,10 @@ from repro.sampling.walks import WalkParams
 HP = Node2VecParams(r=2, l=12, w=4, ns=3)
 
 
+# the chunks here are tiny; keep the pool-mechanics tests on the pool
+pytestmark = pytest.mark.usefixtures("pooled")
+
+
 @pytest.fixture(scope="module")
 def graph():
     return ring_of_cliques(4, 8, seed=0)

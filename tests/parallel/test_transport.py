@@ -21,6 +21,10 @@ from repro.sampling.walks import WalkParams
 
 HP = Node2VecParams(r=2, l=12, w=4, ns=3)
 
+
+# the chunks here are tiny; keep the pool-mechanics tests on the pool
+pytestmark = pytest.mark.usefixtures("pooled")
+
 needs_dev_shm = pytest.mark.skipif(
     not os.path.isdir("/dev/shm"), reason="no /dev/shm on this platform"
 )
