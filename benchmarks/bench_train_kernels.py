@@ -18,12 +18,8 @@ Assertions: ``"blocked"`` must hold ≥ 3× reference throughput for the
 kernel exists to kill) and ≥ 3× reference for the paper's
 ``"proposed"`` OS-ELM model (the rank-k RLS block solve — a per-context
 kernel only managed ~1.3× because Algorithm 1 runs one tiny matvec per
-context), ``"compiled"`` must hold ≥ 5× reference for
-``"original"`` **when numba is installed** (without it the entry runs the
-warned reference fallback — held only to the parity band, and the report
-records ``numba_available`` so the committed JSON stays honest), and no
-model may regress below parity-with-noise under any backend.  The
-chunk-deferred ``batch_rls`` model gets a headline row of its own
+context), and no model may regress below parity-with-noise under any
+backend.  The chunk-deferred ``batch_rls`` model gets a headline row of its own
 (``batch_rls@chunk``, span-aware ``"blocked"`` only): at ``defer_span="chunk"``
 under ``"blocked"`` it must hold ≥ 2× the contexts/s of ``"proposed"``
 under ``"blocked"`` — the rank-k span solve amortized chunk-wide.  The
@@ -36,7 +32,6 @@ import time
 import numpy as np
 
 from repro.embedding import WalkTrainer, make_model
-from repro.embedding.compiled import NUMBA_AVAILABLE
 from repro.embedding.kernels import EXEC_BACKENDS
 from repro.experiments.hyper import Node2VecParams
 from repro.experiments.report import ExperimentReport
@@ -57,11 +52,6 @@ MIN_SPEEDUP = {
 #: "blocked" — the whole point of owning cross-walk spans (hundreds of
 #: per-walk solves collapse into a handful of chunk-wide GEMMs)
 BATCH_RLS_MIN_CONTEXTS_SPEEDUP = 2.0
-if NUMBA_AVAILABLE:
-    # the compiled backend's raison d'être: the reference per-window SGD
-    # loop, bit-identical but JIT-compiled.  Gated only when numba is
-    # importable — the fallback IS reference (parity band below applies).
-    MIN_SPEEDUP[("original", "compiled")] = 5.0
 #: no model may regress below parity minus noise under any backend
 MIN_SPEEDUP_ANY = 0.8
 
@@ -93,15 +83,9 @@ def test_train_kernels(benchmark, emit_report, profile):
                     "train_s": train_s,
                     "n_walks": trainer.n_walks,
                     "n_contexts": trainer.n_contexts,
-                    # what ran: "compiled[fallback=reference]" without numba
-                    "backend": trainer.backend.telemetry_name,
+                    "backend": trainer.backend.name,
                 }
         return best
-
-    def ratio(res, speedup):
-        # a degraded backend ran the reference path: its ratio to reference
-        # is timing noise, not a speedup
-        return "fallback" if "fallback=" in res["backend"] else f"{speedup:.2f}x"
 
     def run():
         report = ExperimentReport(
@@ -126,15 +110,15 @@ def test_train_kernels(benchmark, emit_report, profile):
                 model_name,
                 *(round(per_backend[b]["walks_per_s"], 1) for b in EXEC_BACKENDS),
                 *(
-                    ratio(per_backend[b], speedups[b])
+                    f"{speedups[b]:.2f}x"
                     for b in EXEC_BACKENDS
                     if b != "reference"
                 ),
             )
             rows[model_name] = {**per_backend, "speedup": speedups}
         # the chunk-deferred headline row: batch_rls at defer_span="chunk"
-        # runs only under the span-aware backend (reference/compiled feed
-        # one walk at a time and reject it), so it sits outside the matrix
+        # runs only under the span-aware backend (reference feeds one walk
+        # at a time and rejects it), so it sits outside the matrix
         span_backends = ("blocked",)
         per_backend = {
             b: measure("batch_rls", b, defer_span="chunk") for b in span_backends
@@ -172,18 +156,11 @@ def test_train_kernels(benchmark, emit_report, profile):
         )
         report.add_note(
             "gates: blocked >= 3x reference for 'original' and for "
-            "'proposed', compiled >= 5x reference for "
-            "'original' when numba is installed, no model below 0.8x "
-            "anywhere; batch_rls@chunk under blocked >= 2x the contexts/s "
+            "'proposed', no model below 0.8x anywhere; batch_rls@chunk "
+            "under blocked >= 2x the contexts/s "
             "of 'proposed' under blocked (the chunk-deferred rank-k span "
             "headline; its x-ref column is vs the model's own walk-span "
             "reference run)"
-        )
-        report.add_note(
-            "numba_available="
-            + ("true (compiled = JIT kernels)" if NUMBA_AVAILABLE else
-               "false (compiled = warned bit-identical reference fallback; "
-               "5x gate waived, parity band still enforced)")
         )
         return report
 

@@ -22,16 +22,13 @@ Knobs demonstrated below:
 * ``exec_backend`` — ``"reference"`` (the bit-exact per-walk loop) vs
   ``"blocked"`` (vectorized chunk kernels: bulk negative draw, batched
   gather/scatter updates for the SGD baseline and rank-k RLS block solves
-  for the paper's proposed OS-ELM model — the big walks/s lever for both)
-  vs ``"compiled"`` (numba-JIT'd reference
-  kernels, **bit-identical to reference**; without numba — the ``perf``
-  extra — it warns once and falls back to reference, and telemetry shows
-  ``compiled[fallback=reference]``).  The ``"batch_rls"`` model rides the
+  for the paper's proposed OS-ELM model — the big walks/s lever for both).
+  The ``"batch_rls"`` model rides the
   span-aware ``"blocked"`` backend one step further: its ``defer_span`` knob
   (``"walk"`` | int | ``"chunk"``) lets one rank-k span legally cross
   walk boundaries — at ``defer_span="chunk"`` every staged work item
   becomes a single shared-negative rank-k solve, this family's raw-speed
-  ceiling (``"reference"``/``"compiled"`` reject cross-walk spans);
+  ceiling (``"reference"`` rejects cross-walk spans);
 * ``result.telemetry`` — per-stage timing, IPC bytes, training walks/s and
   contexts/s, realized overlap;
 * lockstep walks — a chunk of at least ``LOCKSTEP_MIN_WALKS`` walks
@@ -41,7 +38,6 @@ Run:  python examples/parallel_training.py
 """
 
 import time
-import warnings
 
 import numpy as np
 
@@ -94,39 +90,29 @@ def main() -> None:
             f"walk bytes over pickle channel {t.ipc_walk_bytes:>9,}"
         )
 
-    # -- execution backends: reference vs blocked/compiled kernels ----- #
+    # -- execution backends: reference vs blocked kernels -------------- #
     # the blocked backend batches the SGD baseline's per-window Python loop
     # per walk and runs the proposed OS-ELM model's RLS recursion as rank-k
-    # block solves; the compiled backend JITs the reference loop itself —
-    # same bits, machine code.  Without numba (`pip install .[perf]`)
-    # "compiled" emits one RuntimeWarning and trains through the
-    # bit-identical reference fallback — telemetry records it as
-    # compiled[fallback=reference].
+    # block solves.
     # batch_rls pushes the blocked lever chunk-wide: defer_span="chunk"
     # folds each staged work item into one shared-negative rank-k solve.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for model, backend, kwargs in (
-            ("original", "reference", {}), ("original", "blocked", {}),
-            ("original", "compiled", {}),
-            ("proposed", "reference", {}), ("proposed", "blocked", {}),
-            ("batch_rls", "blocked", {"defer_span": "chunk"}),
-        ):
-            res = train_parallel(
-                graph, dim=32, hyper=hyper, model=model, n_workers=4,
-                chunk_size=128, negative_source="degree",
-                exec_backend=backend, seed=7, **kwargs,
-            )
-            t = res.telemetry
-            print(
-                f"model={model:9s} exec_backend={t.exec_backend:28s}: "
-                f"train {t.train_s:5.2f}s  "
-                f"{t.train_walks_per_s:7.0f} walks/s  "
-                f"{t.train_contexts_per_s:8.0f} contexts/s"
-            )
-    for w in caught:
-        if issubclass(w.category, RuntimeWarning):
-            print(f"(fallback warning seen: {w.message})")
+    for model, backend, kwargs in (
+        ("original", "reference", {}), ("original", "blocked", {}),
+        ("proposed", "reference", {}), ("proposed", "blocked", {}),
+        ("batch_rls", "blocked", {"defer_span": "chunk"}),
+    ):
+        res = train_parallel(
+            graph, dim=32, hyper=hyper, model=model, n_workers=4,
+            chunk_size=128, negative_source="degree",
+            exec_backend=backend, seed=7, **kwargs,
+        )
+        t = res.telemetry
+        print(
+            f"model={model:9s} exec_backend={t.exec_backend:9s}: "
+            f"train {t.train_s:5.2f}s  "
+            f"{t.train_walks_per_s:7.0f} walks/s  "
+            f"{t.train_contexts_per_s:8.0f} contexts/s"
+        )
 
     # -- determinism across worker counts, transports, chunk sizes ------ #
     a = train_parallel(

@@ -155,12 +155,7 @@ def train_embedding(
         restored from a checkpoint that says otherwise).  ``"blocked"``
         draws each chunk's negatives in one bulk pass, so its embedding is
         pinned to the chunk schedule (still bit-identical across workers,
-        prefetch and transports).  ``"compiled"``
-        needs the optional numba extra (``pip install .[perf]``) to
-        actually JIT; without it the run falls back to the bit-identical
-        ``"reference"`` path with a one-time :class:`RuntimeWarning`, and
-        the result's ``telemetry.exec_backend`` reads
-        ``"compiled[fallback=reference]"``.
+        prefetch and transports).
     prefetch:
         pipeline-only knob: chunks kept in flight ahead of the trainer
         (default ``max(2, 2 * n_workers)``).  Setting it implies the

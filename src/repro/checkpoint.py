@@ -12,10 +12,12 @@ The config block also records the model's preferred execution backend
 (:attr:`~repro.embedding.base.EmbeddingModel.exec_backend`), so a restored
 model resumes training through the same chunk kernel it was trained with —
 any :data:`~repro.embedding.kernels.EXEC_REGISTRY` name (``"reference"``,
-``"blocked"``, ``"compiled"``) round-trips; checkpoints written before the
-kernel layer load as ``"reference"``, and ones naming the retired
-``"fused"`` backend (``"blocked"`` without the OS-ELM block kernel) load as
-``"blocked"``.
+``"blocked"``) round-trips; checkpoints written before the kernel layer
+load as ``"reference"``, ones naming the retired ``"fused"`` backend
+(``"blocked"`` without the OS-ELM block kernel) load as ``"blocked"``, and
+ones naming the retired ``"compiled"`` backend (the reference loops as
+numba kernels, bit-identical to ``"reference"``) load as
+``"reference"``.
 
 The ``kind`` field names the model class.  A ``"batch_rls"`` checkpoint
 also records its ``defer_span``.  The ``"block"`` model is ``"batch_rls"``
@@ -41,7 +43,7 @@ __all__ = ["save_model", "load_model"]
 _FORMAT_VERSION = 1
 
 #: retired backend names a checkpoint may still carry → their successors
-_LEGACY_BACKENDS = {"fused": "blocked"}
+_LEGACY_BACKENDS = {"fused": "blocked", "compiled": "reference"}
 
 
 def _exec_backend(cfg: dict) -> str:

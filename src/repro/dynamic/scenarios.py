@@ -166,8 +166,8 @@ def run_seq_scenario(
         the old per-event ``sampler_refresh`` loop (tune via a
         ``DecayedSource(decay=…, rebuild_every=…)`` instance).
     exec_backend:
-        chunk-execution kernel (``"reference"`` | ``"blocked"`` |
-        ``"compiled"``, see :mod:`repro.embedding.kernels`); ``None``
+        chunk-execution kernel (``"reference"`` | ``"blocked"``, see
+        :mod:`repro.embedding.kernels`); ``None``
         follows the model's own preference.  ``"blocked"`` is the fast
         path for the OS-ELM ``"proposed"`` model this scenario defaults
         to — the rank-k RLS block solves batch each event's walk updates.

@@ -123,7 +123,7 @@ class EmbeddingModel(abc.ABC):
             model-dependent default (dataflow → per_walk).
         backend:
             an :data:`~repro.embedding.kernels.EXEC_REGISTRY` name
-            (``"reference"`` | ``"blocked"`` | ``"compiled"``) or
+            (``"reference"`` | ``"blocked"``) or
             :class:`~repro.embedding.kernels.ExecBackend` instance; ``None``
             uses :attr:`exec_backend` (default ``"reference"``, which is
             bit-identical to looping :meth:`train_walk`).  Unlike a

@@ -38,7 +38,7 @@ same way the FPGA's per-walk batch policy [18] amortizes its draws.
 Because the model owns the deferred semantics, span-aware execution
 backends (``"blocked"``) may legally run spans of hundreds of
 contexts — the OS-ELM hot path becomes a handful of large GEMMs per chunk.
-Walk-feeding backends (``"reference"``/``"compiled"``) accept the model
+The walk-feeding backend (``"reference"``) accepts the model
 only at ``defer_span="walk"`` or ``1``; a cross-walk ``defer_span`` under a
 walk-feeding backend is rejected up front with the registry-rendered error
 (:func:`repro.embedding.kernels.cross_walk_span_error`).

@@ -113,28 +113,13 @@ Backends
     ``defer_span`` that may legally cross walk boundaries.  Backends
     advertise whether they can feed such spans via
     :attr:`ExecBackend.spans_walks` (blocked stages whole context blocks
-    → True; reference/compiled feed one walk at a time → False), and
+    → True; reference feeds one walk at a time → False), and
     ``train_chunk`` rejects a cross-walk ``defer_span`` on a walk-feeding
     backend up front with the registry-rendered
     :func:`cross_walk_span_error`.  At ``defer_span="walk"``/``1`` every
     backend accepts the model, and blocked executes its ``train_walk``
     verbatim — which is why ``BLOCKED_RTOL`` carries ``0.0`` for it; the
     cross-walk drift contract lives in ``BATCH_RLS_RTOL``.
-
-``"compiled"``
-    The reference per-walk loops as numba-JIT kernels
-    (:mod:`repro.embedding.compiled`): same negative draw order (the
-    reference's per-walk ``sample_for_walk`` calls), same float64 update
-    order, so — unlike ``"blocked"`` — the golden sha256
-    regressions pass under ``"compiled"`` **verbatim**, and results stay
-    chunk-invariant (``chunk_size="auto"`` is allowed).  numba is an
-    optional extra (``pip install .[perf]``); without it the backend
-    registers and constructs normally but falls back to the bit-identical
-    reference path with a one-time :class:`RuntimeWarning`, reported
-    through :attr:`~ExecBackend.telemetry_name` as
-    ``"compiled[fallback=reference]"``.  ``mode="python"`` runs the same
-    kernel source uncompiled (the test seam that pins the arithmetic on
-    numba-free hosts); ``mode="jit"`` requires numba.
 
 Tolerance contract
 ------------------
@@ -161,9 +146,8 @@ Tolerance contract
 ``tests/embedding/test_blocked.py`` pins the arithmetic under *shared*
 pre-drawn negatives (``BLOCKED_RTOL`` property tests, the alpha-tied
 duplicate-free exactness, and the one-context-block degeneration);
-``tests/embedding/test_kernels.py`` pins the registry, the bulk draw and
-the reference/compiled bit-identity, and the golden regressions stay
-pinned to ``"reference"``.
+``tests/embedding/test_kernels.py`` pins the registry and the bulk draw,
+and the golden regressions stay pinned to ``"reference"``.
 
 Registry
 --------
@@ -186,7 +170,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.embedding import compiled as _compiled
 from repro.embedding.batch_rls import BatchRLSSkipGram
 from repro.embedding.dataflow import DataflowOSELMSkipGram
 from repro.embedding.oselm import _work_buf, rank_k_update
@@ -210,7 +193,6 @@ __all__ = [
     "EXEC_REGISTRY",
     "BlockedKernel",
     "ChunkStats",
-    "CompiledKernel",
     "ExecBackend",
     "ReferenceKernel",
     "cross_walk_span_error",
@@ -365,20 +347,11 @@ class ExecBackend:
     #: whether this backend can execute model-owned deferral spans that
     #: cross walk boundaries (:class:`~repro.embedding.batch_rls.BatchRLSSkipGram`
     #: with a cross-walk ``defer_span``).  Walk-feeding backends
-    #: (reference/compiled) hand the model one walk at a time, so
+    #: (reference) hand the model one walk at a time, so
     #: :meth:`train_chunk` rejects such models up front with
     #: :func:`cross_walk_span_error`; the blocked backend stages a whole
     #: block of contexts and legally runs spans across it.
     spans_walks: bool = False
-
-    @property
-    def telemetry_name(self) -> str:
-        """The backend name as telemetry reports it.  Equal to :attr:`name`
-        for every backend that runs what its name says; backends that can
-        degrade (``"compiled"`` without numba) append their effective
-        execution path so ``PipelineTelemetry.exec_backend`` records what
-        actually ran."""
-        return self.name
 
     def draw_negatives(
         self,
@@ -823,112 +796,12 @@ class BlockedKernel(ExecBackend):
     _train_sgd = staticmethod(_train_sgd_blocked)
 
 
-class CompiledKernel(ReferenceKernel):
-    """The reference per-walk loops as numba-JIT kernels, bit-identical to
-    ``"reference"`` (module docstring, ``"compiled"`` entry).
-
-    Inherits the reference backend's negative draws — one
-    ``sample_for_walk`` per walk, in corpus order — so the sampler RNG
-    stream is identical to ``"reference"`` and chunk invariance holds; only
-    the training arithmetic moves into :mod:`repro.embedding.compiled`.
-
-    Parameters
-    ----------
-    mode:
-        ``"auto"`` (default) — JIT kernels when numba is importable, else
-        fall back to the inherited reference path with a one-time
-        :class:`RuntimeWarning`; ``"jit"`` — require numba, raise
-        :class:`RuntimeError` without it; ``"python"`` — run the kernels'
-        pure-Python form (``py_func``) regardless of numba, silently: the
-        test seam that pins the kernel arithmetic on numba-free hosts.
-    """
-
-    name = "compiled"
-    summary = (
-        "numba-JIT per-walk kernels, bit-identical to reference (same "
-        "RNG draw order and float64 update order; falls back to "
-        "reference with a warning when numba is missing)"
-    )
-    #: staged like the blocked backend when compiled (block staging touches
-    #: neither the draw order — draws are per-walk — nor the arithmetic);
-    #: reset to 1 on fallback so the reference memory profile is preserved
-    block_walks = 1024
-
-    def __init__(self, mode: str = "auto"):
-        check_in_set("mode", mode, ("auto", "jit", "python"))
-        if mode == "jit" and not _compiled.NUMBA_AVAILABLE:
-            raise RuntimeError(
-                'CompiledKernel(mode="jit") requires numba; install the '
-                "perf extra (pip install .[perf]) or use mode=\"auto\" "
-                "to fall back to the reference kernels"
-            )
-        self.mode = mode
-        self.fallback = mode == "auto" and not _compiled.NUMBA_AVAILABLE
-        if self.fallback:  # it IS reference: bit-identical by construction
-            _compiled.warn_fallback()
-            self.block_walks = 1
-            self._train_oselm = self._train_sgd = _train_walks
-        elif mode == "python":
-            self._sgd_walk = _compiled.py_func(_compiled.sgd_walk)
-            self._oselm_walk = _compiled.py_func(_compiled.oselm_walk)
-        else:
-            self._sgd_walk = _compiled.sgd_walk
-            self._oselm_walk = _compiled.oselm_walk
-
-    @property
-    def telemetry_name(self) -> str:
-        if self.fallback:
-            return f"{self.name}[fallback={ReferenceKernel.name}]"
-        return self.name
-
-    def _train_oselm(
-        self,
-        model: OSELMSkipGram,
-        contexts: ChunkContexts,
-        negatives: list[np.ndarray],
-    ) -> None:
-        tied = model.weight_tying == "beta"
-        # alpha is typed as a float64 matrix in the kernel signature; under
-        # beta tying it is never read, so pass B as the placeholder
-        alpha = model.B if model._alpha is None else model._alpha
-        for ctx, negs in zip(contexts, negatives, strict=True):
-            self._oselm_walk(
-                model.B,
-                model.P,
-                model.mu,
-                model.forgetting_factor,
-                tied,
-                alpha,
-                model.denominator == "standard",
-                model.duplicate_policy == "sequential",
-                ctx.centers,
-                ctx.positives,
-                model._check_walk_inputs(ctx, negs),
-            )
-            model.n_walks_trained += 1
-
-    def _train_sgd(
-        self,
-        model: SkipGramSGD,
-        contexts: ChunkContexts,
-        negatives: list[np.ndarray],
-    ) -> None:
-        for ctx, negs in zip(contexts, negatives, strict=True):
-            self._sgd_walk(
-                model.w_in, model.w_out, model.lr, ctx.centers, ctx.positives,
-                model._check_walk_inputs(ctx, negs),
-            )
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(mode={self.mode!r})"
-
-
 #: Single source of truth for the valid ``exec_backend`` strategies: the
 #: trainer's validation, the API docs and the tests all render from this
 #: registry (the ``SOURCE_REGISTRY`` pattern, applied to execution).
 EXEC_REGISTRY: dict[str, type[ExecBackend]] = {
     cls.name: cls
-    for cls in (ReferenceKernel, BlockedKernel, CompiledKernel)
+    for cls in (ReferenceKernel, BlockedKernel)
 }
 
 #: Valid ``exec_backend`` names, in registry order.
@@ -943,10 +816,11 @@ def make_backend(name: str) -> ExecBackend:
 
 def resolve_backend(spec: str | ExecBackend) -> ExecBackend:
     """Normalize an ``exec_backend`` argument: a registry name becomes a
-    fresh instance with default knobs; an already-constructed
-    :class:`ExecBackend` is used as-is (backends carry construction-time
-    configuration only — e.g. ``CompiledKernel(mode="python")`` — never
-    per-run state, so instances are safely reusable)."""
+    fresh instance; an already-constructed :class:`ExecBackend` is used
+    as-is, so callers can pass a subclass of a registered backend (a
+    tracer that times the chunk stages, a test double that records the
+    draws).  Backends hold no per-run state, so instances are safely
+    reusable."""
     if isinstance(spec, ExecBackend):
         return spec
     if isinstance(spec, str):

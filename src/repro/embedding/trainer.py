@@ -107,7 +107,7 @@ class WalkTrainer:
     exec_backend:
         chunk-execution backend for :meth:`train_corpus` — an
         :data:`repro.embedding.kernels.EXEC_REGISTRY` name
-        (``"reference"`` | ``"blocked"`` | ``"compiled"``) or an
+        (``"reference"`` | ``"blocked"``) or an
         :class:`~repro.embedding.kernels.ExecBackend` instance (e.g. a
         subclass of a registered backend).  ``None`` (default) uses the model's own :attr:`~EmbeddingModel.exec_backend`
         preference; an explicit *registry name* also sets that preference,
@@ -229,8 +229,8 @@ def train_on_graph(
     ``hyper`` is a :class:`repro.experiments.hyper.Node2VecParams` (or None
     for the paper's defaults).  ``model`` may be a registry name or an
     already-built :class:`EmbeddingModel`.  ``exec_backend`` selects the
-    chunk-execution kernel (``"reference"`` | ``"blocked"`` | ``"compiled"``,
-    see :mod:`repro.embedding.kernels`); ``None`` follows the model's own
+    chunk-execution kernel (``"reference"`` | ``"blocked"``, see
+    :mod:`repro.embedding.kernels`); ``None`` follows the model's own
     preference (``"reference"`` unless restored from a checkpoint that says
     otherwise).
     """

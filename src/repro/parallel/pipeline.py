@@ -80,11 +80,8 @@ Consumed chunks train through the kernel layer
 (:mod:`repro.embedding.kernels`): ``"reference"`` is the bit-identical
 per-walk loop, ``"blocked"`` the vectorized chunk kernels (bulk negative
 draw, rank-k RLS block solves for the OS-ELM family, batched per-walk
-SGD updates), and ``"compiled"`` the reference loops as numba-JIT kernels — bit-identical to
-``"reference"`` (same goldens) when numba is installed, a warned fallback
-to the reference path otherwise.
-``telemetry.exec_backend`` records the kernel that actually ran
-(``"compiled[fallback=reference]"`` marks the degraded path);
+SGD updates).
+``telemetry.exec_backend`` records the backend's registry name,
 ``telemetry.train_walks_per_s`` / ``train_contexts_per_s`` its realized
 training throughput (the context rate is the number the OS-ELM kernels
 move, one RLS step per context).
@@ -1043,9 +1040,7 @@ def train_parallel(
         negative_source=source.name,
         n_workers=int(n_workers),
         epochs=int(epochs),
-        # telemetry_name, not name: a degraded backend ("compiled" without
-        # numba) reports what actually ran, e.g. "compiled[fallback=reference]"
-        exec_backend=trainer.backend.telemetry_name,
+        exec_backend=trainer.backend.name,
         blas_threads=trainer.blas_threads,
     )
     t_total = time.perf_counter()

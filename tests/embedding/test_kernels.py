@@ -1,7 +1,6 @@
-"""Kernel-layer tests: the execution-backend registry, reference and
-compiled bit-identity, bounded staging and the bulk-draw contract (the
-blocked arithmetic under shared negatives is pinned in
-``test_blocked.py``)."""
+"""Kernel-layer tests: the execution-backend registry, reference
+bit-identity, bounded staging and the bulk-draw contract (the blocked
+arithmetic under shared negatives is pinned in ``test_blocked.py``)."""
 
 import copy
 
@@ -9,13 +8,11 @@ import numpy as np
 import pytest
 
 from repro.embedding import make_model
-from repro.embedding import compiled as compiled_mod
 from repro.embedding.kernels import (
     EXEC_BACKENDS,
     EXEC_REGISTRY,
     BlockedKernel,
     ChunkStats,
-    CompiledKernel,
     ReferenceKernel,
     default_negative_reuse,
     make_backend,
@@ -49,7 +46,7 @@ def reuse_for(name):
 
 class TestRegistry:
     def test_names(self):
-        assert EXEC_BACKENDS == ("reference", "blocked", "compiled")
+        assert EXEC_BACKENDS == ("reference", "blocked")
         for name, cls in EXEC_REGISTRY.items():
             assert cls.name == name
             assert cls.summary
@@ -289,8 +286,9 @@ class TestBackendSelection:
         # the model stays usable and checkpointable
         model.train_chunk([np.arange(10)], make_sampler(12), window=WINDOW, ns=NS)
 
-    # "fused" was a backend once: only checkpoints still map it
-    @pytest.mark.parametrize("bad", ("warp", "fused"))
+    # "fused" and "compiled" were backends once: only checkpoints still
+    # map them
+    @pytest.mark.parametrize("bad", ("warp", "fused", "compiled"))
     def test_invalid_backend_everywhere(self, bad):
         with pytest.raises(ValueError, match="exec_backend"):
             make_model("proposed", 12, 4, seed=0, exec_backend=bad)
@@ -335,190 +333,3 @@ class TestFallbackDispatch:
         assert model.calls == 2
         assert stats.n_walks == 2
 
-
-def active_compiled_kernel():
-    """A CompiledKernel that genuinely exercises the kernel arithmetic on
-    this host: JIT when numba is importable, the kernels' pure-Python form
-    otherwise — never the reference fallback.  Both forms run the same
-    source, so the bit-identity assertions below pin the arithmetic either
-    way (and the numba CI leg pins the JIT's BLAS/libm against the same
-    goldens)."""
-    return CompiledKernel(
-        mode="jit" if compiled_mod.NUMBA_AVAILABLE else "python"
-    )
-
-
-class TestCompiledBitIdentity:
-    """``"compiled"`` must be **bit-identical** to ``"reference"`` — same
-    negative draw order, same float64 update order — for every registry
-    model and every OS-ELM variant; this is what lets the golden sha256
-    regressions pass under ``exec_backend="compiled"`` verbatim."""
-
-    def test_eps_matches_the_model_layer(self):
-        from repro.embedding.sequential import _EPS
-
-        assert compiled_mod._EPS == _EPS
-
-    def test_draw_order_matches_reference(self):
-        rng = np.random.default_rng(0)
-        walks = make_chunk(rng, 20, n_walks=5)
-        contexts = prepare_contexts(walks, WINDOW)
-        for reuse in ("per_context", "per_walk"):
-            a = ReferenceKernel().draw_negatives(
-                make_sampler(20), contexts, NS, reuse
-            )
-            b = active_compiled_kernel().draw_negatives(
-                make_sampler(20), contexts, NS, reuse
-            )
-            for x, y in zip(a, b, strict=True):
-                assert np.array_equal(x, y)
-
-    @pytest.mark.parametrize("name", MODELS)
-    def test_every_registry_model_exact(self, name):
-        rng = np.random.default_rng(1)
-        n_nodes = 30
-        walks = make_chunk(rng, n_nodes, n_walks=6)
-        a = make_model(name, n_nodes, 8, seed=3)
-        b = make_model(name, n_nodes, 8, seed=3)
-        contexts = prepare_contexts(walks, WINDOW)
-        negatives = ReferenceKernel().draw_negatives(
-            make_sampler(n_nodes), contexts, NS, reuse_for(name)
-        )
-        ReferenceKernel().train_prepared(a, contexts, negatives)
-        active_compiled_kernel().train_prepared(b, contexts, negatives)
-        assert np.array_equal(a.embedding, b.embedding)
-
-    @pytest.mark.parametrize("tying", ("beta", "alpha"))
-    @pytest.mark.parametrize("denominator", ("standard", "paper"))
-    @pytest.mark.parametrize("policy", ("batched", "sequential"))
-    @pytest.mark.parametrize("lam", (1.0, 0.97))
-    def test_every_oselm_variant_exact(self, tying, denominator, policy, lam):
-        from repro.embedding.sequential import OSELMSkipGram
-
-        rng = np.random.default_rng(2)
-        n_nodes = 25
-        walks = make_chunk(rng, n_nodes, n_walks=4)
-        kwargs = dict(
-            weight_tying=tying, denominator=denominator,
-            duplicate_policy=policy, forgetting_factor=lam, seed=3,
-        )
-        a = OSELMSkipGram(n_nodes, 8, **kwargs)
-        b = OSELMSkipGram(n_nodes, 8, **kwargs)
-        contexts = prepare_contexts(walks, WINDOW)
-        negatives = ReferenceKernel().draw_negatives(
-            make_sampler(n_nodes), contexts, NS, "per_context"
-        )
-        ReferenceKernel().train_prepared(a, contexts, negatives)
-        active_compiled_kernel().train_prepared(b, contexts, negatives)
-        assert np.array_equal(a.B, b.B)
-        assert np.array_equal(a.P, b.P)
-        assert a.n_walks_trained == b.n_walks_trained
-
-    def test_chunking_invariant(self):
-        """compiled draws per walk like reference, so chunk splits cannot
-        move the sampler stream — unlike blocked."""
-        assert CompiledKernel.chunk_invariant is True
-        rng = np.random.default_rng(3)
-        walks = make_chunk(rng, 25, n_walks=8)
-        a = make_model("proposed", 25, 8, seed=2)
-        b = make_model("proposed", 25, 8, seed=2)
-        ka, kb = active_compiled_kernel(), active_compiled_kernel()
-        sa, sb = make_sampler(25), make_sampler(25)
-        ka.train_chunk(a, walks, sa, window=WINDOW, ns=NS)
-        for lo in range(0, len(walks), 3):
-            kb.train_chunk(b, walks[lo : lo + 3], sb, window=WINDOW, ns=NS)
-        assert np.array_equal(a.embedding, b.embedding)
-
-    def test_block_staging_does_not_change_results(self):
-        """Staging width is a memory knob only: per-walk draws mean the
-        sampler stream is independent of block_walks."""
-        rng = np.random.default_rng(4)
-        walks = make_chunk(rng, 20, n_walks=6)
-        a = make_model("proposed", 20, 8, seed=1)
-        b = make_model("proposed", 20, 8, seed=1)
-        narrow = active_compiled_kernel()
-        narrow.block_walks = 2
-        narrow.train_chunk(a, walks, make_sampler(20), window=WINDOW, ns=NS)
-        active_compiled_kernel().train_chunk(
-            b, walks, make_sampler(20), window=WINDOW, ns=NS
-        )
-        assert np.array_equal(a.embedding, b.embedding)
-
-
-class TestCompiledFallback:
-    """Without numba the registry entry still constructs — as a warned,
-    bit-identical fallback to the reference path (ISSUE: prove the
-    DeprecationWarning-free, single-warning behavior)."""
-
-    needs_no_numba = pytest.mark.skipif(
-        compiled_mod.NUMBA_AVAILABLE,
-        reason="fallback path only exists without numba",
-    )
-
-    def test_mode_validation(self):
-        with pytest.raises(ValueError, match="mode"):
-            CompiledKernel(mode="warp")
-
-    def test_python_mode_is_silent_and_active(self):
-        import warnings
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            k = CompiledKernel(mode="python")
-        assert caught == []
-        assert not k.fallback
-        assert k.telemetry_name == "compiled"
-        assert k.block_walks == CompiledKernel.block_walks
-
-    @needs_no_numba
-    def test_auto_warns_once_with_runtime_warning(self, monkeypatch):
-        import warnings
-
-        monkeypatch.setattr(compiled_mod, "_FALLBACK_WARNED", False)
-        with pytest.warns(RuntimeWarning, match="numba"):
-            k = CompiledKernel()
-        assert k.fallback
-        assert k.telemetry_name == "compiled[fallback=reference]"
-        assert k.block_walks == 1  # the reference memory profile
-        # second construction: the warning already fired for this process
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            CompiledKernel()
-        assert caught == []
-
-    @needs_no_numba
-    def test_fallback_warning_is_not_a_deprecation(self, monkeypatch):
-        import warnings
-
-        monkeypatch.setattr(compiled_mod, "_FALLBACK_WARNED", False)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            CompiledKernel()
-        assert len(caught) == 1
-        assert issubclass(caught[0].category, RuntimeWarning)
-        assert not issubclass(caught[0].category, DeprecationWarning)
-
-    @needs_no_numba
-    def test_jit_mode_requires_numba(self):
-        with pytest.raises(RuntimeError, match="numba"):
-            CompiledKernel(mode="jit")
-
-    @needs_no_numba
-    def test_fallback_trains_bit_identical_to_reference(self):
-        rng = np.random.default_rng(5)
-        walks = make_chunk(rng, 20, n_walks=5)
-        a = make_model("proposed", 20, 8, seed=1)
-        b = make_model("proposed", 20, 8, seed=1)
-        ReferenceKernel().train_chunk(
-            a, walks, make_sampler(20), window=WINDOW, ns=NS
-        )
-        CompiledKernel().train_chunk(
-            b, walks, make_sampler(20), window=WINDOW, ns=NS
-        )
-        assert np.array_equal(a.embedding, b.embedding)
-
-    def test_registry_backends_report_their_own_name(self):
-        """telemetry_name == name for every backend that runs what its
-        name says; only the degraded compiled fallback decorates it."""
-        for name in ("reference", "blocked"):
-            assert make_backend(name).telemetry_name == name

@@ -371,82 +371,6 @@ class TestBlockedBackendPipeline:
         assert np.array_equal(by_name.embedding, by_instance.embedding)
 
 
-class TestCompiledBackendPipeline:
-    """``exec_backend="compiled"`` is bit-identical to ``"reference"`` by
-    contract — the goldens must pass under it **verbatim**, across worker
-    counts, prefetch depths, transports, and (unlike blocked, since
-    draws are per-walk) ``chunk_size="auto"``.  Without numba the string
-    spelling degrades to a warned reference fallback; the kernels
-    themselves are exercised via ``mode="jit"`` when numba is importable
-    and ``mode="python"`` otherwise (same source, same bits)."""
-
-    @staticmethod
-    def backend():
-        from repro.embedding import compiled as compiled_mod
-        from repro.embedding.kernels import CompiledKernel
-
-        return CompiledKernel(
-            mode="jit" if compiled_mod.NUMBA_AVAILABLE else "python"
-        )
-
-    def run(self, graph, **kw):
-        kw.setdefault("chunk_size", 16)
-        kw.setdefault("exec_backend", self.backend())
-        kw.setdefault("negative_source", "degree")
-        return train_parallel(graph, dim=8, hyper=HP, seed=5, **kw)
-
-    @pytest.mark.parametrize("source", sorted(TestGoldenRegression.GOLD))
-    def test_hits_the_reference_goldens_verbatim(self, graph, source):
-        res = self.run(graph, n_workers=0, negative_source=source)
-        digest = TestGoldenRegression.digest_of(res)
-        assert digest == TestGoldenRegression.GOLD[source]
-
-    def test_identical_across_workers_prefetch_and_transports(self, graph):
-        base = self.run(graph)
-        for kw in (
-            {"n_workers": 2},
-            {"n_workers": 4},
-            {"n_workers": 2, "prefetch": 8},
-            {"n_workers": 2, "transport": "pickle"},
-        ):
-            res = self.run(graph, **kw)
-            assert np.array_equal(base.embedding, res.embedding), kw
-
-    def test_auto_chunking_allowed_and_hits_golden(self, graph):
-        """compiled is chunk-invariant (per-walk draws), so the adaptive
-        schedule is admissible — and cannot move a bit."""
-        res = self.run(graph, chunk_size="auto", n_workers=2)
-        digest = TestGoldenRegression.digest_of(res)
-        assert digest == TestGoldenRegression.GOLD["degree"]
-
-    def test_string_spelling_matches_instance_and_sets_telemetry(self, graph):
-        """exec_backend="compiled" (the registry path) trains the same bits
-        as the explicit instance — via JIT or via the warned reference
-        fallback, both bit-identical — and telemetry records which."""
-        from repro.embedding import compiled as compiled_mod
-
-        a = self.run(graph)
-        b = self.run(graph, exec_backend="compiled")
-        assert np.array_equal(a.embedding, b.embedding)
-        assert a.telemetry.exec_backend == "compiled"
-        expect = (
-            "compiled" if compiled_mod.NUMBA_AVAILABLE
-            else "compiled[fallback=reference]"
-        )
-        assert b.telemetry.exec_backend == expect
-
-    @pytest.mark.parametrize("model", ("original", "proposed", "dataflow", "block"))
-    def test_every_registry_model_matches_reference(self, graph, model):
-        comp = self.run(graph, model=model)
-        ref = train_parallel(
-            graph, dim=8, hyper=HP, model=model, chunk_size=16,
-            negative_source="degree", exec_backend="reference", seed=5,
-        )
-        assert np.array_equal(comp.embedding, ref.embedding)
-        assert comp.n_walks == ref.n_walks
-        assert comp.n_contexts == ref.n_contexts
-
-
 class TestDecayedSource:
     """'decayed' relaxes bit-identity to fixed *virtual* chunking: the
     embedding must be identical across worker counts, transports AND

@@ -19,11 +19,12 @@ def span(make_model):
     return make_model(model="batch_rsl", n_nodes=4, dim=2)  # expect: registry-sync
 
 
-def jit(graph, train_parallel):
-    return train_parallel(graph, exec_backend="compield")  # expect: registry-sync
+def typo(graph, train_parallel):
+    return train_parallel(graph, exec_backend="blokced")  # expect: registry-sync
 
 
 def retired(graph, train_parallel):
+    train_parallel(graph, exec_backend="compiled")  # expect: registry-sync
     return train_parallel(graph, exec_backend="fused")  # expect: registry-sync
 
 

@@ -17,11 +17,6 @@ def helper(graph, transport="pickle", negative_source="two_pass"):
     return graph, "decayed and degree are described elsewhere"
 
 
-def jit(graph, train_parallel, exec_backend="compiled"):
-    """The numba-JIT backend registers unconditionally: exec_backend="compiled"."""
-    return train_parallel(graph, exec_backend=exec_backend)
-
-
 def pick(make_model):
     return make_model(model="proposed", n_nodes=4, dim=2)
 

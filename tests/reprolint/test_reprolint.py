@@ -101,7 +101,7 @@ class TestEngine:
         assert registries.sources is not None
         assert {"corpus", "degree", "two_pass", "decayed"} <= registries.sources
         assert registries.backends is not None
-        assert registries.backends == frozenset({"reference", "blocked", "compiled"})
+        assert registries.backends == frozenset({"reference", "blocked"})
         assert registries.models is not None
         assert {
             "original", "proposed", "dataflow", "block", "batch_rls"

@@ -113,7 +113,7 @@ class TestExecBackendConfig:
     training through the kernel it was trained with."""
 
     @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
-    @pytest.mark.parametrize("backend", ("reference", "blocked", "compiled"))
+    @pytest.mark.parametrize("backend", ("reference", "blocked"))
     def test_backend_round_trips(self, tmp_path, name, backend):
         m = make_model(name, 20, 8, seed=3, exec_backend=backend)
         path = str(tmp_path / "b.npz")
@@ -169,8 +169,32 @@ class TestExecBackendConfig:
         )
         assert np.array_equal(a.embedding, b.embedding)
 
+    def test_compiled_checkpoint_loads_as_reference(self, tmp_path):
+        """The retired "compiled" backend ran the reference loops as numba
+        kernels, bit-identical to "reference": its checkpoints load, and
+        keep training, as "reference" — bit-for-bit like a "reference"
+        checkpoint."""
+        rng = np.random.default_rng(6)
+        more = [rng.integers(0, 20, size=10) for _ in range(4)]
+        m = trained_proposed()
+        legacy, current = str(tmp_path / "compiled.npz"), str(tmp_path / "r.npz")
+        save_model(m, legacy)
+        save_model(m, current)
+        # reprolint: disable=registry-sync(the retired name an old checkpoint carries)
+        rewrite_config(legacy, exec_backend="compiled")
+        a, b = load_model(legacy), load_model(current)
+        assert a.exec_backend == b.exec_backend == "reference"
+        WalkTrainer(a, window=4, ns=3).train_corpus(
+            more, NegativeSampler(np.ones(20), seed=2)
+        )
+        WalkTrainer(b, window=4, ns=3).train_corpus(
+            more, NegativeSampler(np.ones(20), seed=2)
+        )
+        assert np.array_equal(a.embedding, b.embedding)
+        assert np.array_equal(a.P, b.P)
+
     @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
-    @pytest.mark.parametrize("backend", ("blocked", "compiled"))
+    @pytest.mark.parametrize("backend", ("blocked",))
     def test_save_load_continue_training(self, tmp_path, name, backend):
         """save → load → continue: the restored model's trajectory through
         the kernel layer must match the uninterrupted one bit-for-bit, for

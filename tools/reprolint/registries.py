@@ -127,15 +127,9 @@ def load_registries(start: Path) -> Registries:
     if tree is not None:
         extracted = _class_name_attrs(tree)
         sources = extracted or None
-    backend_names: set[str] = set()
-    # kernels.py defines the registry classes; compiled.py is the kernel
-    # module a future backend class could live in — union both so a split
-    # never silently shrinks the vocabulary
-    for fname in ("kernels.py", "compiled.py"):
-        tree = _parse(repro / "embedding" / fname)
-        if tree is not None:
-            backend_names |= _class_name_attrs(tree)
-    backends = frozenset(backend_names) or None
+    tree = _parse(repro / "embedding" / "kernels.py")
+    if tree is not None:
+        backends = _class_name_attrs(tree) or None
     tree = _parse(repro / "embedding" / "trainer.py")
     if tree is not None:
         models = _dict_literal_keys(tree, "MODEL_REGISTRY")
