@@ -140,14 +140,21 @@ class TestCrossWalkRejection:
     """A cross-walk span meeting a walk-feeding consumer fails fast with
     the registry-rendered error, wherever the meeting happens."""
 
-    def test_rejected_at_construction(self):
+    # every span that crosses a walk boundary: the smallest, a block, the
+    # whole chunk
+    CROSSING = (2, 8, "chunk")
+
+    @pytest.mark.parametrize("span", CROSSING)
+    def test_rejected_at_construction(self, span):
         with pytest.raises(ValueError, match="one walk at a time"):
             make_model(
-                "batch_rls", 20, 8, seed=0, defer_span=8, exec_backend="reference"
+                "batch_rls", 20, 8, seed=0, defer_span=span,
+                exec_backend="reference",
             )
 
-    def test_rejected_at_train_chunk(self):
-        m = make_model("batch_rls", 20, 8, seed=0, defer_span=8)
+    @pytest.mark.parametrize("span", CROSSING)
+    def test_rejected_at_train_chunk(self, span):
+        m = make_model("batch_rls", 20, 8, seed=0, defer_span=span)
         with pytest.raises(ValueError, match="reference"):
             ReferenceKernel().train_chunk(
                 m, [np.arange(10)], make_sampler(20), window=WINDOW, ns=NS

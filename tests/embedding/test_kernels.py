@@ -44,6 +44,21 @@ def reuse_for(name):
     return default_negative_reuse(make_model(name, 4, 2))
 
 
+def manual_per_walk_loop(model, walks, sampler, reuse):
+    """The pre-kernel trainer, verbatim: per walk, one ``sample_for_walk``
+    draw and one ``train_walk`` call.  Returns (walks, contexts) trained."""
+    n_walks = n_contexts = 0
+    for walk in walks:
+        ctx = contexts_from_walk(walk, WINDOW)
+        if ctx.n == 0:
+            continue
+        negs = sampler.sample_for_walk(ctx.n, NS, reuse=reuse)
+        model.train_walk(ctx, negs)
+        n_walks += 1
+        n_contexts += ctx.n
+    return n_walks, n_contexts
+
+
 class TestRegistry:
     def test_names(self):
         assert EXEC_BACKENDS == ("reference", "blocked")
@@ -61,6 +76,19 @@ class TestRegistry:
         assert isinstance(resolve_backend("reference"), ReferenceKernel)
         with pytest.raises(TypeError):
             resolve_backend(42)
+
+    @pytest.mark.parametrize("name", EXEC_BACKENDS)
+    def test_resolve_backend_name_and_subclass_instance(self, name):
+        """A registry name resolves to a fresh instance of its class; an
+        instance of a subclass (a tracer, a test double) passes through
+        as-is and keeps the registry name it inherits."""
+        cls = EXEC_REGISTRY[name]
+        first, second = resolve_backend(name), resolve_backend(name)
+        assert type(first) is cls and type(second) is cls
+        assert first is not second
+        sub = type(f"Traced{cls.__name__}", (cls,), {})()
+        assert resolve_backend(sub) is sub
+        assert sub.name == name
 
     def test_api_docs_render_backends(self):
         from repro import train_embedding
@@ -84,29 +112,68 @@ class TestReferenceBitIdentity:
         trainer = WalkTrainer(a, window=WINDOW, ns=NS, exec_backend="reference")
         trainer.train_corpus(walks, make_sampler(n_nodes))
 
-        # the pre-kernel trainer, verbatim
-        sampler = make_sampler(n_nodes)
-        reuse = reuse_for(name)
-        n_walks = n_contexts = 0
-        for walk in walks:
-            ctx = contexts_from_walk(walk, WINDOW)
-            if ctx.n == 0:
-                continue
-            negs = sampler.sample_for_walk(ctx.n, NS, reuse=reuse)
-            b.train_walk(ctx, negs)
-            n_walks += 1
-            n_contexts += ctx.n
+        n_walks, n_contexts = manual_per_walk_loop(
+            b, walks, make_sampler(n_nodes), reuse_for(name)
+        )
 
         assert np.array_equal(a.embedding, b.embedding)
         assert trainer.n_walks == n_walks
         assert trainer.n_contexts == n_contexts
 
-    def test_chunking_invariant(self):
+    @pytest.mark.parametrize("tying", ("beta", "alpha"))
+    @pytest.mark.parametrize("denominator", ("standard", "paper"))
+    @pytest.mark.parametrize("policy", ("batched", "sequential"))
+    @pytest.mark.parametrize("lam", (1.0, 0.97))
+    def test_every_oselm_variant_matches_manual_loop(
+        self, tying, denominator, policy, lam
+    ):
+        """Every OS-ELM variant the goldens can name trains through the
+        reference kernel exactly like the historical loop: same B, same
+        P, same walk count."""
+        from repro.embedding.sequential import OSELMSkipGram
+
+        rng = np.random.default_rng(2)
+        n_nodes = 25
+        walks = make_chunk(rng, n_nodes, n_walks=4)
+        kwargs = dict(
+            weight_tying=tying, denominator=denominator,
+            duplicate_policy=policy, forgetting_factor=lam, seed=3,
+        )
+        a = OSELMSkipGram(n_nodes, 8, **kwargs)
+        b = OSELMSkipGram(n_nodes, 8, **kwargs)
+        ReferenceKernel().train_chunk(
+            a, walks, make_sampler(n_nodes), window=WINDOW, ns=NS
+        )
+        manual_per_walk_loop(
+            b, walks, make_sampler(n_nodes), default_negative_reuse(b)
+        )
+        assert np.array_equal(a.B, b.B)
+        assert np.array_equal(a.P, b.P)
+        assert a.n_walks_trained == b.n_walks_trained
+
+    @pytest.mark.parametrize("reuse", ("per_context", "per_walk"))
+    def test_draw_order_is_one_sample_for_walk_per_walk(self, reuse):
+        """The reference negative stream is one ``sample_for_walk`` call
+        per staged walk, in corpus order — the goldens' draw order."""
+        rng = np.random.default_rng(0)
+        walks = make_chunk(rng, 20, n_walks=5)
+        contexts = prepare_contexts(walks, WINDOW)
+        drawn = ReferenceKernel().draw_negatives(
+            make_sampler(20), contexts, NS, reuse
+        )
+        sampler = make_sampler(20)
+        assert len(drawn) == len(contexts)
+        for ctx, negs in zip(contexts, drawn, strict=True):
+            expect = sampler.sample_for_walk(ctx.n, NS, reuse=reuse)
+            assert np.array_equal(negs, expect)
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_chunking_invariant(self, name):
         """reference: one call over the corpus == per-chunk calls."""
         rng = np.random.default_rng(1)
         walks = make_chunk(rng, 25, n_walks=8)
-        a = make_model("proposed", 25, 8, seed=2)
-        b = make_model("proposed", 25, 8, seed=2)
+        a = make_model(name, 25, 8, seed=2)
+        b = make_model(name, 25, 8, seed=2)
         ta = WalkTrainer(a, window=WINDOW, ns=NS)
         tb = WalkTrainer(b, window=WINDOW, ns=NS)
         ta.train_corpus(walks, make_sampler(25))
@@ -114,6 +181,25 @@ class TestReferenceBitIdentity:
         for lo in range(0, len(walks), 3):
             tb.train_corpus(walks[lo : lo + 3], sb)
         assert np.array_equal(a.embedding, b.embedding)
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_block_staging_does_not_change_results(self, name):
+        """Staging width is a memory knob only on a chunk-invariant
+        backend: per-walk draws keep the sampler stream independent of
+        ``block_walks``."""
+        assert ReferenceKernel.chunk_invariant is True
+        rng = np.random.default_rng(4)
+        walks = make_chunk(rng, 20, n_walks=6)
+        a = make_model(name, 20, 8, seed=1)
+        b = make_model(name, 20, 8, seed=1)
+        wide = ReferenceKernel()
+        wide.block_walks = 4
+        sa = wide.train_chunk(a, walks, make_sampler(20), window=WINDOW, ns=NS)
+        sb = ReferenceKernel().train_chunk(
+            b, walks, make_sampler(20), window=WINDOW, ns=NS
+        )
+        assert np.array_equal(a.embedding, b.embedding)
+        assert (sa.n_walks, sa.n_contexts) == (sb.n_walks, sb.n_contexts)
 
 
 class TestBlockedStaging:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.embedding import MODEL_REGISTRY
+from repro.embedding.kernels import EXEC_BACKENDS, EXEC_REGISTRY
 from repro.graph import degree_corrected_sbm, ring_of_cliques
 from repro.parallel import (
     NEGATIVE_SOURCES,
@@ -283,8 +284,9 @@ class TestBlockedBackendPipeline:
         assert blocked.n_walks == ref.n_walks
         assert blocked.n_contexts == ref.n_contexts
 
-    # "fused" was a backend once: only checkpoints still map it
-    @pytest.mark.parametrize("bad", ("warp", "fused"))
+    # "fused" and "compiled" were backends once: only checkpoints still
+    # map them
+    @pytest.mark.parametrize("bad", ("warp", "fused", "compiled"))
     def test_invalid_backend_rejected(self, graph, bad):
         with pytest.raises(ValueError, match="exec_backend"):
             train_parallel(graph, hyper=HP, exec_backend=bad, seed=5)
@@ -369,6 +371,45 @@ class TestBlockedBackendPipeline:
                                exec_backend=BlockedKernel())
         assert by_instance.telemetry.exec_backend == "blocked"
         assert np.array_equal(by_name.embedding, by_instance.embedding)
+
+
+class TestEveryBackendPipeline:
+    """What holds for every registered backend at a fixed chunk size:
+    every registry model trains identically across worker counts and
+    transports, and a registry name, an instance and an instance of a
+    subclass (the path a traced run takes) train the same bits and report
+    the registry name in telemetry."""
+
+    def run(self, graph, backend, **kw):
+        kw.setdefault("chunk_size", 16)
+        return train_parallel(
+            graph, dim=8, hyper=HP, negative_source="degree",
+            exec_backend=backend, seed=5, **kw,
+        )
+
+    @pytest.mark.parametrize("model", sorted(MODEL_REGISTRY))
+    @pytest.mark.parametrize("backend", EXEC_BACKENDS)
+    def test_every_registry_model_identical_across_workers_and_transports(
+        self, graph, backend, model
+    ):
+        base = self.run(graph, backend, model=model)
+        for kw in ({"n_workers": 2}, {"n_workers": 2, "transport": "pickle"}):
+            res = self.run(graph, backend, model=model, **kw)
+            assert np.array_equal(base.embedding, res.embedding), kw
+            assert (res.n_walks, res.n_contexts) == (
+                base.n_walks, base.n_contexts
+            )
+
+    @pytest.mark.parametrize("backend", EXEC_BACKENDS)
+    def test_string_instance_and_subclass_agree(self, graph, backend):
+        cls = EXEC_REGISTRY[backend]
+        traced = type(f"Traced{cls.__name__}", (cls,), {})
+        by_name = self.run(graph, backend)
+        for spec in (cls(), traced()):
+            res = self.run(graph, spec)
+            assert np.array_equal(by_name.embedding, res.embedding), spec
+            assert res.telemetry.exec_backend == backend
+        assert by_name.telemetry.exec_backend == backend
 
 
 class TestDecayedSource:
