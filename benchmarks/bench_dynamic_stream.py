@@ -2,21 +2,12 @@
 high-rate replay, and the online "decayed" source vs the frozen
 "two_pass" source on the concept-drift scenario.
 
-``test_dynamic_stream_delta`` exercises the PR-10 delta path end to end on
-a config-model (degree-corrected SBM) burst at ``edges_per_event=1`` and
-CI-gates its two acceptance criteria:
-
-* **events/s** — incremental ``DynamicGraph.snapshot()`` (vectorized
-  ``CSRGraph.insert_edges`` merge) must sustain ≥ 3× the event rate of the
-  legacy engine (Python edge-set + full ``from_edges`` re-sort per event;
-  re-implemented here as the baseline);
-* **O(delta) transport** — on the pipelined seq replay,
-  ``ipc_snapshot_bytes + ipc_delta_bytes`` under the delta transport must
-  be ≤ 1/5 of the every-event-full bytes, with the final embedding
-  **bit-identical** between the two runs.  One-edge events are far below
-  ``POOL_MIN_WALK_STEPS``, so the pipeline would walk them in the consumer
-  and ship no snapshot at all; this comparison pins every chunk to the
-  pool to measure the transport.
+``test_dynamic_stream_delta`` replays a config-model (degree-corrected
+SBM) burst at ``edges_per_event=1`` and CI-gates the **event rate**:
+incremental ``DynamicGraph.apply`` (vectorized ``CSRGraph.insert_edges``
+merge) must sustain ≥ 3× the event rate of the legacy engine (Python
+edge-set + full ``from_edges`` re-sort per event; re-implemented here as
+the baseline).
 
 ``test_dynamic_stream_drift`` compares negative sources.  Both training
 phases of :func:`repro.dynamic.run_drift_scenario` run through the
@@ -45,7 +36,6 @@ import time
 import numpy as np
 
 from repro.dynamic.drift import run_drift_scenario
-from repro.dynamic.scenarios import run_seq_scenario
 from repro.experiments.hyper import Node2VecParams
 from repro.experiments.report import ExperimentReport
 from repro.graph import cora_like
@@ -53,7 +43,6 @@ from repro.graph.components import forest_split
 from repro.graph.csr import CSRGraph
 from repro.graph.dynamic import DynamicGraph, edge_stream
 from repro.graph.generators import degree_corrected_sbm
-from repro.parallel import pipeline
 from repro.sampling.sources import DecayedSource
 
 N_WORKERS = 2
@@ -88,28 +77,23 @@ def _replay_rate(engine_apply, removed, n_events):
     return n_events / elapsed if elapsed else float("inf"), snap
 
 
-def test_dynamic_stream_delta(benchmark, emit_report, profile, monkeypatch):
+def test_dynamic_stream_delta(benchmark, emit_report, profile):
     n_nodes = 2000 if profile == "paper" else 800
     n_events = 400 if profile == "paper" else 200
-    max_train_events = 192 if profile == "paper" else 96
     graph = degree_corrected_sbm(n_nodes, 4, avg_degree=8, seed=0)
     split = forest_split(graph, seed=0)
     removed = split.removed_edges
     n_events = min(n_events, removed.shape[0])
-    hyper = Node2VecParams(r=1, l=10, w=4, ns=3)
 
     def run():
         report = ExperimentReport(
             name="Dynamic delta",
             title=(
-                "incremental CSR engine + delta transport on a config-model "
-                f"burst ({graph.n_nodes} nodes, {graph.n_edges} edges, "
+                "incremental CSR engine on a config-model burst "
+                f"({graph.n_nodes} nodes, {graph.n_edges} edges, "
                 "edges_per_event=1)"
             ),
-            columns=[
-                "variant", "events", "events/s", "snap KiB", "delta KiB",
-                "byte ratio", "applies", "rebases",
-            ],
+            columns=["variant", "events", "events/s"],
         )
 
         # -- engine microbench: snapshot-per-event rate, no training --------
@@ -122,75 +106,22 @@ def test_dynamic_stream_delta(benchmark, emit_report, profile, monkeypatch):
             ("legacy rebuild (engine)", legacy_rate),
             ("incremental merge (engine)", incr_rate),
         ):
-            report.add_row(
-                label, n_events, round(rate, 1), "-", "-", "-", "-", "-"
-            )
+            report.add_row(label, n_events, round(rate, 1))
             report.data[label] = {"events": n_events, "events_per_s": rate}
-
-        # -- pipelined seq replay: full-every-event vs delta transport ------
-        # every chunk to the pool, so snapshots and deltas ship to workers
-        monkeypatch.setattr(pipeline, "POOL_MIN_WALK_STEPS", 0)
-        runs = {}
-        for label, rebase in (
-            ("full snapshots (pipeline)", 1),
-            ("delta transport (pipeline)", 16),
-        ):
-            res = run_seq_scenario(
-                graph, model="proposed", dim=16, hyper=hyper, seed=7,
-                edges_per_event=1, max_events=max_train_events,
-                n_workers=N_WORKERS, snapshot_rebase_every=rebase,
-                model_kwargs={"mu": 0.05},
-            )
-            tele = res.extras["telemetry"]
-            runs[label] = (res, tele)
-        full_bytes = runs["full snapshots (pipeline)"][1].ipc_snapshot_bytes
-        for label, (res, tele) in runs.items():
-            total = tele.ipc_snapshot_bytes + tele.ipc_delta_bytes
-            ratio = total / full_bytes if full_bytes else float("nan")
-            report.add_row(
-                label, res.n_events, "-",
-                round(tele.ipc_snapshot_bytes / 1024, 1),
-                round(tele.ipc_delta_bytes / 1024, 1),
-                f"{ratio:.3f}",
-                tele.delta_applies, tele.rebase_count,
-            )
-            report.data[label] = {
-                "events": res.n_events,
-                "snapshot_bytes": tele.ipc_snapshot_bytes,
-                "delta_bytes": tele.ipc_delta_bytes,
-                "byte_ratio": ratio,
-                "delta_applies": tele.delta_applies,
-                "rebase_count": tele.rebase_count,
-                "embedding": res.embedding,
-            }
         report.add_note(
-            "engine rows: snapshot-per-event replay with no training; the "
-            "legacy baseline re-sorts the full edge set every event, the "
+            "snapshot-per-event replay with no training; the legacy "
+            "baseline re-sorts the full edge set every event, the "
             "incremental engine merges the event into the live CSR"
-        )
-        report.add_note(
-            "pipeline rows: run_seq_scenario with 2 walk workers; full "
-            "ships a pickled snapshot per event, delta ships O(delta) edge "
-            "payloads and re-bases every 16 events — embeddings bit-identical"
         )
         return report
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)
     emit_report(report)
 
-    # CI gate 1: the incremental engine sustains >= 3x the legacy event rate
+    # CI gate: the incremental engine sustains >= 3x the legacy event rate
     legacy = report.data["legacy rebuild (engine)"]["events_per_s"]
     incr = report.data["incremental merge (engine)"]["events_per_s"]
     assert incr >= 3.0 * legacy, (incr, legacy)
-    # CI gate 2: delta transport moves <= 1/5 of the full-snapshot bytes
-    full = report.data["full snapshots (pipeline)"]
-    delta = report.data["delta transport (pipeline)"]
-    total = delta["snapshot_bytes"] + delta["delta_bytes"]
-    assert total <= full["snapshot_bytes"] / 5, (total, full["snapshot_bytes"])
-    # ...and stays bit-identical to shipping every snapshot in full
-    assert np.array_equal(delta["embedding"], full["embedding"])
-    assert delta["delta_applies"] > delta["rebase_count"] > 0
-    assert full["delta_bytes"] == 0 and full["delta_applies"] == 0
 
 VARIANTS = (
     ("two_pass (frozen)", "two_pass"),

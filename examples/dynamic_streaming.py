@@ -16,11 +16,7 @@ example runs that protocol through the streaming engine
   frequency folds, alias rebuild every K virtual chunks;
 * the embedding is bit-identical across worker counts and transports
   (and, for ``"decayed"``, across physical chunk sizes at a fixed
-  virtual chunk size);
-* with a worker pool, snapshots ship as a *delta chain*: a full pickled
-  snapshot every ``snapshot_rebase_every`` events and O(delta) edge
-  payloads in between, which workers patch into their cached CSR — same
-  embedding, a fraction of the IPC bytes (the demo prints the savings).
+  virtual chunk size).
 
 Run:  python examples/dynamic_streaming.py
 """
@@ -55,26 +51,6 @@ def main() -> None:
             f"stall {t.wait_s:5.2f}s (snapshot share {t.snapshot_stall_s:4.2f}s)  "
             f"sampler rebuilds {t.sampler_rebuilds}"
         )
-
-    # -- delta transport: O(delta) snapshot bytes at high event rates ---- #
-    embeds = {}
-    for label, rebase in (("full every event", 1), ("delta, rebase 16", 16)):
-        res = run_seq_scenario(
-            graph, dim=32, hyper=hyper, seed=7, edges_per_event=1,
-            max_events=128, walks_per_endpoint=1, n_workers=2,
-            snapshot_rebase_every=rebase,
-        )
-        t = res.extras["telemetry"]
-        total = t.ipc_snapshot_bytes + t.ipc_delta_bytes
-        embeds[label] = (res.embedding, total)
-        print(
-            f"delta transport [{label:16s}]: snapshot {t.ipc_snapshot_bytes:8d} B"
-            f"  delta {t.ipc_delta_bytes:6d} B  applies {t.delta_applies:3d}"
-            f"  rebases {t.rebase_count}"
-        )
-    (full_e, full_b), (delta_e, delta_b) = embeds.values()
-    print(f"delta transport: {full_b / delta_b:.1f}x fewer IPC bytes, "
-          f"bit-identical: {np.array_equal(full_e, delta_e)}")
 
     # -- bit-identity across workers and transports ---------------------- #
     runs = [

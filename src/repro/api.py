@@ -235,7 +235,6 @@ def train_dynamic(
     chunk_size: int | None = None,
     prefetch: int | None = None,
     exec_backend: str | None = None,
-    snapshot_rebase_every: int | None = None,
     store: str | EmbeddingStore | None = None,
     publish_every: int = 1,
     seed: SeedLike = None,
@@ -264,15 +263,6 @@ def train_dynamic(
     kernel:
 
 {backends}
-
-    ``snapshot_rebase_every`` tunes the replay's delta transport: when
-    event chunks go to the worker pool (events of at least
-    :data:`~repro.parallel.pipeline.POOL_MIN_WALK_STEPS` walk-steps;
-    smaller ones walk inline and ship nothing) only every K-th snapshot
-    ships in full, the rest as
-    O(delta) new-edge payloads workers patch into their cached CSR (see
-    :func:`repro.parallel.train_parallel`; ``1`` disables, embeddings are
-    bit-identical either way).
 
     ``store`` hooks the replay up to the serving layer (a
     :data:`repro.store.STORE_REGISTRY` name or an
@@ -315,7 +305,6 @@ def train_dynamic(
             negative_source=negative_source,
             negative_power=negative_power,
             exec_backend=exec_backend,
-            snapshot_rebase_every=snapshot_rebase_every,
         ),
     )
 

@@ -125,7 +125,6 @@ def run_seq_scenario(
     negative_source="decayed",
     negative_power: float | None = None,
     exec_backend: str | None = None,
-    snapshot_rebase_every: int | None = None,
     store=None,
     publish_every: int = 1,
     model_kwargs: dict | None = None,
@@ -171,17 +170,6 @@ def run_seq_scenario(
         follows the model's own preference.  ``"blocked"`` is the fast
         path for the OS-ELM ``"proposed"`` model this scenario defaults
         to — the rank-k RLS block solves batch each event's walk updates.
-    snapshot_rebase_every:
-        delta-transport re-base period, forwarded to
-        :func:`~repro.parallel.train_parallel`.  The replay's tasks carry
-        per-event deltas, so when event chunks go to the worker pool
-        (events of at least
-        :data:`~repro.parallel.pipeline.POOL_MIN_WALK_STEPS` walk-steps;
-        smaller ones walk inline and ship nothing) only every K-th snapshot
-        ships in full — the rest are O(delta) edge payloads workers patch
-        into their cached CSR (``1`` disables; embeddings are
-        bit-identical either way, and ``ipc_delta_bytes`` /
-        ``delta_applies`` / ``rebase_count`` land in the telemetry).
     store / publish_every:
         serving-store hookup, forwarded to
         :func:`~repro.parallel.train_parallel`: each replayed task epoch
@@ -237,7 +225,6 @@ def run_seq_scenario(
     knobs = dict(
         n_workers=n_workers, chunk_size=chunk_size, prefetch=prefetch,
         transport=transport, negative_power=negative_power,
-        snapshot_rebase_every=snapshot_rebase_every,
     )
     result = train_parallel(
         split.initial,  # the t=0 snapshot: model sizing + source bootstrap

@@ -9,10 +9,7 @@ walk engine always works on a consistent immutable view.
 an :class:`EdgeEvent` stream into the lazy
 :class:`~repro.parallel.tasks.WalkTask` stream that
 :func:`repro.parallel.train_parallel` consumes, so scenario replay shares
-the bounded-prefetch walk→train pipeline with static training.  Each task
-additionally carries the event's *delta* (the canonical batch of genuinely
-new edges), which is what lets the pipeline's snapshot transport ship
-O(delta) bytes per event instead of a full snapshot.
+the bounded-prefetch walk→train pipeline with static training.
 
 Snapshots are maintained incrementally: :meth:`snapshot` merges the pending
 batch into the previous CSR via :meth:`~repro.graph.csr.CSRGraph.insert_edges`
@@ -204,40 +201,21 @@ class DynamicGraph:
         counts + one concatenate/scatter pass); with nothing pending the
         cached snapshot object is returned as-is."""
         if self._pending:
-            self._csr = self._csr.insert_edges(self._drain_pending())
+            batch = (
+                self._pending[0]
+                if len(self._pending) == 1
+                else np.concatenate(self._pending)
+            )
+            self._pending = []
+            self._pending_keys = np.empty(0, dtype=np.int64)
+            self._csr = self._csr.insert_edges(batch)
         return self._csr
 
-    def _drain_pending(self) -> np.ndarray:
-        delta = (
-            self._pending[0]
-            if len(self._pending) == 1
-            else np.concatenate(self._pending)
-        )
-        self._pending = []
-        self._pending_keys = np.empty(0, dtype=np.int64)
-        return delta
-
     def apply(self, event: "EdgeEvent") -> CSRGraph:
-        """Insert one event's edge batch and return the updated snapshot."""
+        """Insert one event's edge batch and return the updated snapshot
+        (the same cached object when the event adds no new edge)."""
         self.add_edges(event.edges)
         return self.snapshot()
-
-    def apply_delta(self, event: "EdgeEvent") -> tuple[CSRGraph, np.ndarray]:
-        """Insert one event's batch; return ``(snapshot, delta)`` where
-        ``delta`` is the canonical (d, 2) batch of genuinely new edges such
-        that ``snapshot == previous_snapshot.insert_edges(delta)`` — the
-        O(delta) payload the snapshot transport ships instead of the graph.
-
-        ``delta`` covers *everything* merged by this snapshot (any edges
-        added since the previous snapshot ride along), so the identity
-        holds even when :meth:`add_edges` calls interleave with events.
-        """
-        self.add_edges(event.edges)
-        if not self._pending:
-            return self._csr, np.empty((0, 2), dtype=np.int64)
-        delta = self._drain_pending()
-        self._csr = self._csr.insert_edges(delta)
-        return self._csr, delta
 
     def walk_tasks(self, events, *, walks_per_endpoint: int = 1):
         """Turn an :class:`EdgeEvent` stream into the streaming engine's
@@ -246,10 +224,7 @@ class DynamicGraph:
         of the inserted batch (the paper starts a random walk "from both
         the ends of an added edge"; ``walks_per_endpoint`` tiles the starts
         like node2vec's r), tagged with the event step and carrying the
-        post-insertion snapshot *and* its delta — the per-event new-edge
-        batch the pipeline's snapshot transport ships instead of the full
-        graph (O(delta) bytes per event; see
-        :class:`repro.parallel.snapshots.SnapshotStore`).
+        post-insertion snapshot.
 
         The stream is lazy: snapshots materialize only as the pipeline's
         prefetch window pulls tasks, so at most a window's worth of
@@ -260,9 +235,9 @@ class DynamicGraph:
         if walks_per_endpoint < 1:
             raise ValueError("walks_per_endpoint must be >= 1")
         for event in events:
-            snap, delta = self.apply_delta(event)
+            snap = self.apply(event)
             starts = np.tile(event.touched_nodes, int(walks_per_endpoint))
-            yield WalkTask(starts=starts, epoch=event.step, graph=snap, delta=delta)
+            yield WalkTask(starts=starts, epoch=event.step, graph=snap)
 
     def __repr__(self) -> str:
         return f"DynamicGraph(n_nodes={self.n_nodes}, n_edges={self.n_edges})"

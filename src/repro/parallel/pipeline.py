@@ -63,16 +63,8 @@ workers a tiny reference into the publish-once
 pickled once per snapshot, deserialized once per worker) instead of
 re-pickling the snapshot per job.  ``PipelineTelemetry.ipc_snapshot_bytes``
 / ``ipc_snapshot_bytes_saved`` count the shipped and avoided payload bytes.
-Tasks that carry a ``delta`` (the dynamic replay's per-event new-edge
-batch) additionally enable the store's **delta transport**: the chain base
-publishes in full once, subsequent snapshots ship only O(delta) pickled
-edge arrays that workers patch into their cached CSR, and every
-``snapshot_rebase_every``-th snapshot re-bases with a fresh full publish
-(``ipc_delta_bytes`` / ``delta_applies`` / ``rebase_count`` in the
-telemetry; ``snapshot_rebase_every=1`` disables deltas).  A chunk walked in
-the consumer ships nothing; when it breaks a delta chain, the next pooled
-snapshot's delta no longer explains its arc growth and the store re-bases
-with a full publish.
+Every pooled snapshot publishes in full, once; a chunk walked in the
+consumer ships nothing.
 
 Execution backends (``exec_backend``)
 -------------------------------------
@@ -146,11 +138,7 @@ from repro.parallel.chunking import (
     EpochStats,
 )
 from repro.parallel.shm_ring import ShmWalkRing
-from repro.parallel.snapshots import (
-    DEFAULT_REBASE_EVERY,
-    SnapshotStore,
-    resolve_snapshot_ref,
-)
+from repro.parallel.snapshots import SnapshotStore, resolve_snapshot_ref
 from repro.parallel.tasks import WalkTask
 from repro.sampling.lockstep import LOCKSTEP_MIN_WALKS, WalkBatch, lockstep_walks
 from repro.sampling.negative import walk_frequencies
@@ -178,16 +166,17 @@ TRANSPORTS = ("shm", "pickle")
 
 #: Smallest chunk, in walk-steps (walks × walk length), that walks in the
 #: worker pool; smaller chunks walk in the consumer.  A pooled chunk pays a
-#: round trip (job out, batch back) and, on a replay, its snapshot or delta;
+#: round trip (job out, batch back) and, on a replay, its snapshot;
 #: it wins only by overlapping its walk with training.  Measured with
 #: training in the loop (``"proposed"``, ``"blocked"``, d = 32, two workers)
 #: on a 2-vCPU x86 VM: streams of equal chunks of 20-step walks on a
 #: 1000-node degree-corrected SBM (mean degree 8), time per walk-step
 #: pooled / inline, best of 5:
 #:
-#: * every chunk on its own one-edge snapshot (the dynamic replay, delta
-#:   transport): 1.50 at 80 walk-steps, 1.22 at 320, 1.14 at 640, 1.04 at
-#:   960, 0.93 at 1280 and 0.95 at 1920;
+#: * every chunk on its own one-edge snapshot (the dynamic replay), each
+#:   snapshot published in full: 0.84–1.04 at 960 walk-steps, 0.74–0.88 at
+#:   1280 and 0.80–0.87 at 1920 (two runs over 200 events; over 60 events
+#:   the pool's start-up lifts every ratio above 1.2);
 #: * every chunk on the base graph: 1.30 at 160, 1.20 at 320, 0.99 at 480,
 #:   1.04 at 640 and 0.95 at 960.
 POOL_MIN_WALK_STEPS = 1024
@@ -337,9 +326,6 @@ class _FlowStats:
         self.ipc_walk_bytes = 0
         self.snapshot_bytes = 0
         self.snapshot_bytes_saved = 0
-        self.delta_bytes = 0
-        self.delta_applies = 0
-        self.rebase_count = 0
 
     def on_submit(self, n: int) -> None:
         self.submitted_walks += n
@@ -392,16 +378,6 @@ class PipelineTelemetry:
     of that — the dynamic path's IPC win, sitting next to
     ``ipc_walk_bytes`` so both channels read in the same unit.
 
-    Delta transport: when tasks carry deltas, ``ipc_delta_bytes`` counts
-    the O(delta) edge-payload bytes shipped in place of full snapshots,
-    ``delta_applies`` the snapshots that shipped as deltas (each is one
-    vectorized CSR patch per worker that runs its jobs), and
-    ``rebase_count`` the full re-publishes that closed a delta chain (the
-    ``snapshot_rebase_every`` knob).  On a high-rate replay
-    ``ipc_snapshot_bytes`` then scales with the number of *re-bases* while
-    ``ipc_delta_bytes`` scales with the number of *edges* — O(delta) per
-    event.
-
     Execution: ``exec_backend`` is the chunk-kernel the trainer ran
     (:data:`repro.embedding.kernels.EXEC_REGISTRY` name);
     ``train_walks`` / ``train_contexts`` the walks and sliding-window
@@ -444,9 +420,6 @@ class PipelineTelemetry:
     snapshot_stall_s: float = 0.0
     ipc_snapshot_bytes: int = 0
     ipc_snapshot_bytes_saved: int = 0
-    ipc_delta_bytes: int = 0
-    delta_applies: int = 0
-    rebase_count: int = 0
     exec_backend: str = ""
     train_walks: int = 0
     train_contexts: int = 0
@@ -455,6 +428,24 @@ class PipelineTelemetry:
     store_publish_bytes: int = 0
     store_full_copies: int = 0
     blas_threads: int = 0
+
+    @property
+    def ipc_delta_bytes(self) -> int:
+        """Always 0 (snapshots publish in full); kept only because
+        ``benchmarks/e2e/workloads.py`` reads it."""
+        return 0
+
+    @property
+    def delta_applies(self) -> int:
+        """Always 0 (snapshots publish in full); kept only because
+        ``benchmarks/e2e/workloads.py`` reads it."""
+        return 0
+
+    @property
+    def rebase_count(self) -> int:
+        """Always 0 (snapshots publish in full); kept only because
+        ``benchmarks/e2e/workloads.py`` reads it."""
+        return 0
 
     @property
     def overlap_efficiency(self) -> float:
@@ -517,12 +508,6 @@ class ParallelWalkGenerator:
         Chunks walked in the consumer use no IPC.  ``effective_transport``
         records what the last pass actually used after fallback
         (``"inline"`` when no chunk was pooled).
-    snapshot_rebase_every:
-        delta-chain length limit for the snapshot transport: when tasks
-        carry deltas, one snapshot in ``snapshot_rebase_every`` publishes
-        in full and the rest ship as O(delta) edge payloads.  ``1``
-        disables deltas (every snapshot full); ignored for delta-free
-        streams and for chunks walked in the consumer.
     """
 
     def __init__(
@@ -535,11 +520,9 @@ class ParallelWalkGenerator:
         seed: int = 0,
         prefetch: int | None = None,
         transport: str = "shm",
-        snapshot_rebase_every: int = DEFAULT_REBASE_EVERY,
     ):
         check_positive("chunk_size", chunk_size, integer=True)
         check_in_set("transport", transport, TRANSPORTS)
-        check_positive("snapshot_rebase_every", snapshot_rebase_every, integer=True)
         if n_workers < 0:
             raise ValueError("n_workers must be >= 0")
         if prefetch is None:
@@ -552,7 +535,6 @@ class ParallelWalkGenerator:
         self.seed = int(seed)
         self.prefetch = int(prefetch)
         self.transport = transport
-        self.snapshot_rebase_every = int(snapshot_rebase_every)
         #: transport the most recent pass actually used ("inline" while no
         #: chunk was pooled, else "shm" | "pickle"; None before any pass)
         self.effective_transport: str | None = None
@@ -572,15 +554,13 @@ class ParallelWalkGenerator:
         return np.random.SeedSequence([self.seed, _STARTS_NS])
 
     def _job_stream(self, tasks: Iterable[WalkTask]) -> Iterator[tuple]:
-        """``(chunk_starts, global_walk_offset, epoch, graph, sid, delta)``
+        """``(chunk_starts, global_walk_offset, epoch, graph, sid)``
         work items, in deterministic order.  The global offset runs across
         every task, so walk seeds never depend on task or chunk boundaries;
         chunks never span tasks (each chunk walks exactly one snapshot).
         ``sid`` is the task's snapshot id (``None`` for base-graph tasks) —
         monotonically increasing in submission order, which is what the
-        publish-once snapshot transport's retire/evict protocol rests on.
-        ``delta`` is the task's optional new-edge batch, handed to the
-        store so it can ship O(delta) bytes instead of the snapshot."""
+        publish-once snapshot transport's retire/evict protocol rests on."""
         lo = 0
         sid = 0
         for task in tasks:
@@ -602,7 +582,6 @@ class ParallelWalkGenerator:
                     task.epoch,
                     task.graph,
                     task_sid,
-                    task.delta,
                 )
             lo += starts.shape[0]
 
@@ -665,7 +644,7 @@ class ParallelWalkGenerator:
         job_iter = self._job_stream(tasks)
         stats = self.last_stats = _FlowStats()
         self.effective_transport = "inline"
-        store = SnapshotStore(rebase_every=self.snapshot_rebase_every)
+        store = SnapshotStore()
         pool: Any = None
         ring: ShmWalkRing | None = None
         workers: list = []
@@ -712,7 +691,7 @@ class ParallelWalkGenerator:
                 job = next(job_iter, None)
                 if job is None:
                     return
-                chunk_starts, lo, _epoch, task_graph, sid, delta = job
+                chunk_starts, lo, _epoch, task_graph, sid = job
                 stats.on_submit(len(chunk_starts))
                 # read at call time, so tests can move every chunk to the pool
                 if (
@@ -725,11 +704,8 @@ class ParallelWalkGenerator:
                     _start_pool()
                 # publish-once snapshot transport: the job carries a tiny
                 # reference, not the pickled graph, after the snapshot's
-                # first chunk — and only an O(delta) edge payload when the
-                # task's delta can extend a live chain
-                graph_ref = (
-                    store.ref_for(sid, task_graph, delta) if sid is not None else None
-                )
+                # first chunk
+                graph_ref = store.ref_for(sid, task_graph) if sid is not None else None
                 if ring is not None:
                     slot = free_slots.popleft()
                     fut = pool.apply_async(
@@ -749,7 +725,7 @@ class ParallelWalkGenerator:
                 if not pending:
                     return
                 job, slot, fut = pending.popleft()
-                chunk_starts, lo, epoch, task_graph, sid, _delta = job
+                chunk_starts, lo, epoch, task_graph, sid = job
                 if fut is None:
                     batch, gen_s = _run_chunk(
                         task_graph if task_graph is not None else self.graph,
@@ -794,9 +770,6 @@ class ParallelWalkGenerator:
                 pool.terminate()
             stats.snapshot_bytes = store.bytes_shipped
             stats.snapshot_bytes_saved = store.bytes_saved
-            stats.delta_bytes = store.delta_bytes_shipped
-            stats.delta_applies = store.delta_refs
-            stats.rebase_count = store.rebase_count
             store.close()
             if ring is not None:
                 ring.close()
@@ -854,7 +827,6 @@ def train_parallel(
     negative_source: str | NegativeSource = "corpus",
     negative_power: float = 0.75,
     exec_backend: str | None = None,
-    snapshot_rebase_every: int = DEFAULT_REBASE_EVERY,
     store: Any | None = None,
     publish_every: int = 1,
     tasks: Iterable[WalkTask] | Callable[[], Iterable[WalkTask]] | None = None,
@@ -923,17 +895,6 @@ def train_parallel(
     ``chunk_size`` (which is also why it rejects ``chunk_size="auto"``).
     ``None`` follows the model's own :attr:`~repro.embedding.base.EmbeddingModel.exec_backend`
     preference (``"reference"`` unless a checkpoint says otherwise).
-
-    ``snapshot_rebase_every`` tunes the dynamic path's delta transport:
-    when the task stream carries per-event deltas (as
-    :meth:`~repro.graph.dynamic.DynamicGraph.walk_tasks` streams do), one
-    snapshot in ``snapshot_rebase_every`` publishes in full and the rest
-    ship as O(delta) edge payloads that workers patch into their cached
-    CSR — bit-identical embeddings, O(delta) IPC per event.  ``1``
-    disables deltas; the default is
-    :data:`repro.parallel.snapshots.DEFAULT_REBASE_EVERY`.  No effect on
-    delta-free streams, the static corpus, or chunks walked in the main
-    process.
 
     ``store`` hooks the run up to the serving layer: pass a
     :data:`repro.store.STORE_REGISTRY` name or a live
@@ -1020,7 +981,6 @@ def train_parallel(
             seed=epoch_seeds[epoch],
             prefetch=prefetch,
             transport=transport,
-            snapshot_rebase_every=snapshot_rebase_every,
         )
 
     # validate the backend/chunking combination BEFORE WalkTrainer records
@@ -1078,9 +1038,6 @@ def train_parallel(
         tele.ipc_walk_bytes += stats.ipc_walk_bytes
         tele.ipc_snapshot_bytes += stats.snapshot_bytes
         tele.ipc_snapshot_bytes_saved += stats.snapshot_bytes_saved
-        tele.ipc_delta_bytes += stats.delta_bytes
-        tele.delta_applies += stats.delta_applies
-        tele.rebase_count += stats.rebase_count
         tele.inline_chunks += stats.inline_chunks
         tele.transport = gen.effective_transport
 

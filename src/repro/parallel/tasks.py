@@ -39,26 +39,15 @@ class WalkTask:
     graph:
         the snapshot to walk on, or ``None`` for the engine's base graph.
         Chunks of a task never mix snapshots.
-    delta:
-        optional ``(d, 2)`` new-edge batch such that ``graph`` equals the
-        previous task's graph with these edges inserted
-        (:meth:`~repro.graph.csr.CSRGraph.insert_edges`).  When present,
-        the snapshot transport may ship this O(delta) array instead of the
-        full snapshot and let workers patch their cached CSR in place; it
-        is an optimization hint only — correctness never depends on it.
     """
 
     starts: np.ndarray = field(repr=False)
     epoch: int = 0
     graph: "CSRGraph | None" = field(default=None, repr=False)
-    delta: "np.ndarray | None" = field(default=None, repr=False)
 
     def __post_init__(self):
         starts = np.asarray(self.starts, dtype=np.int64).reshape(-1)
         object.__setattr__(self, "starts", starts)
-        if self.delta is not None:
-            delta = np.asarray(self.delta, dtype=np.int64).reshape(-1, 2)
-            object.__setattr__(self, "delta", delta)
 
     @property
     def n_walks(self) -> int:

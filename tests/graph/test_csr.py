@@ -353,7 +353,7 @@ class TestInsertEdges:
     @settings(max_examples=60, deadline=None)
     def test_incremental_equals_batch_rebuild(self, ne_a, ne_b):
         """insert_edges == from_edges on the concatenated edge list, arc for
-        arc — the invariant the whole delta transport rests on."""
+        arc — the invariant every incremental snapshot rests on."""
         n, base_edges = ne_a
         _, extra = ne_b
         extra = [(u % n, v % n) for u, v in extra]

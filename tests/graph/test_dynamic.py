@@ -125,48 +125,28 @@ class TestIncrementalState:
             assert np.array_equal(snap.indices, want.indices)
             assert np.array_equal(snap.weights, want.weights)
 
-    def test_apply_delta_identity(self):
-        """apply_delta's contract: snapshot == previous.insert_edges(delta),
-        bitwise — what the delta transport ships."""
-        g = ring_of_cliques(3, 5, seed=0)
-        fs = forest_split(g, seed=0)
-        dg = DynamicGraph(g.n_nodes, initial=fs.initial)
-        prev = dg.snapshot()
-        for k, edges in enumerate(fs.removed_edges[:5]):
-            snap, delta = dg.apply_delta(EdgeEvent(k, edges.reshape(1, 2)))
-            patched = prev.insert_edges(delta)
-            assert np.array_equal(patched.indptr, snap.indptr)
-            assert np.array_equal(patched.indices, snap.indices)
-            assert np.array_equal(patched.weights, snap.weights)
-            prev = snap
-
-    def test_apply_delta_covers_interleaved_adds(self):
+    def test_apply_covers_interleaved_adds(self):
         dg = DynamicGraph(6)
-        prev = dg.snapshot()
         dg.add_edge(4, 5)  # out-of-band insertion between events
-        snap, delta = dg.apply_delta(EdgeEvent(0, np.array([[0, 1]])))
-        assert delta.shape[0] == 2  # the ride-along edge is in the delta
-        assert prev.insert_edges(delta) == snap
+        snap = dg.apply(EdgeEvent(0, np.array([[0, 1]])))
+        assert snap == CSRGraph.from_edges(6, [(0, 1), (4, 5)])
 
-    def test_apply_delta_no_new_edges(self):
+    def test_apply_no_new_edges(self):
         dg = DynamicGraph(4)
         dg.add_edge(0, 1)
         snap = dg.snapshot()
-        snap2, delta = dg.apply_delta(EdgeEvent(0, np.array([[1, 0]])))
-        assert snap2 is snap  # duplicate event: same cached snapshot object
-        assert delta.shape == (0, 2)
+        # duplicate event: same cached snapshot object
+        assert dg.apply(EdgeEvent(0, np.array([[1, 0]]))) is snap
 
-    def test_walk_tasks_carry_deltas(self):
+    def test_walk_tasks_carry_applied_snapshots(self):
         g = ring_of_cliques(3, 4, seed=0)
         fs = forest_split(g, seed=0)
         dg = DynamicGraph(g.n_nodes, initial=fs.initial)
-        base = dg.snapshot()
-        events = edge_stream(fs.removed_edges, edges_per_event=2, max_events=3)
-        prev = base
-        for task in dg.walk_tasks(events):
-            assert task.delta is not None
-            assert prev.insert_edges(task.delta) == task.graph
-            prev = task.graph
+        twin = DynamicGraph(g.n_nodes, initial=fs.initial)
+        events = list(edge_stream(fs.removed_edges, edges_per_event=2, max_events=3))
+        for task, event in zip(dg.walk_tasks(events), events, strict=True):
+            assert task.epoch == event.step
+            assert task.graph == twin.apply(event)
 
     def test_directed_initial_symmetrized_once(self):
         init = CSRGraph.from_edges(3, [(0, 1)], directed=True)

@@ -93,7 +93,6 @@ class TestParallelWalkGenerator:
             {"n_workers": True},
             {"n_workers": "2"},
             {"prefetch": 0},
-            {"snapshot_rebase_every": 0},
         ):
             with pytest.raises((ValueError, TypeError)):
                 train_parallel(graph, dim=8, hyper=HP, seed=0, **bad)
