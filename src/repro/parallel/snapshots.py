@@ -146,7 +146,7 @@ def resolve_snapshot_ref(ref):
     """Worker side: the graph a ``("shm" | "bytes", sid, payload)`` job
     reference points at, deserializing at most once per (worker, sid) and
     evicting sids this worker has moved past (per-worker job sids are
-    non-decreasing)."""
+    non-decreasing).  Any other ref kind raises ``ValueError``."""
     kind, sid, payload = ref
     graph = _WORKER_SNAPSHOTS.get(sid)
     if graph is not None:
@@ -157,8 +157,10 @@ def resolve_snapshot_ref(ref):
             graph = pickle.loads(bytes(shm.buf[: payload["size"]]))
         finally:
             shm.close()
-    else:
+    elif kind == "bytes":
         graph = pickle.loads(payload)
+    else:
+        raise ValueError(f"unknown snapshot ref kind {kind!r}")
     for old in [s for s in _WORKER_SNAPSHOTS if s < sid]:
         del _WORKER_SNAPSHOTS[old]
     _WORKER_SNAPSHOTS[sid] = graph

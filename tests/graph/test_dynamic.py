@@ -88,7 +88,7 @@ class TestDynamicGraph:
 
 class TestIncrementalState:
     """The post-PR-10 engine: CSR state maintained incrementally, vectorized
-    batch insertion, per-event deltas for the snapshot transport."""
+    batch insertion, one applied snapshot per event."""
 
     def test_vectorized_add_edges_dedups_and_canonicalizes(self):
         dg = DynamicGraph(6)
@@ -124,6 +124,32 @@ class TestIncrementalState:
             assert np.array_equal(snap.indptr, want.indptr)
             assert np.array_equal(snap.indices, want.indices)
             assert np.array_equal(snap.weights, want.weights)
+
+    def test_apply_equals_insert_edges_on_previous(self):
+        """Each applied snapshot is the previous one with the event's edges
+        inserted, bitwise — the incremental merge the replay relies on."""
+        g = ring_of_cliques(3, 5, seed=0)
+        fs = forest_split(g, seed=0)
+        dg = DynamicGraph(g.n_nodes, initial=fs.initial)
+        prev = dg.snapshot()
+        for k, edge in enumerate(fs.removed_edges[:5]):
+            snap = dg.apply(EdgeEvent(k, edge.reshape(1, 2)))
+            patched = prev.insert_edges(edge.reshape(1, 2))
+            assert np.array_equal(patched.indptr, snap.indptr)
+            assert np.array_equal(patched.indices, snap.indices)
+            assert np.array_equal(patched.weights, snap.weights)
+            prev = snap
+
+    def test_apply_matches_add_edges_then_snapshot(self):
+        g = ring_of_cliques(3, 4, seed=2)
+        fs = forest_split(g, seed=2)
+        dg = DynamicGraph(g.n_nodes, initial=fs.initial)
+        twin = DynamicGraph(g.n_nodes, initial=fs.initial)
+        for event in edge_stream(fs.removed_edges, edges_per_event=3, max_events=3):
+            snap = dg.apply(event)
+            twin.add_edges(event.edges)
+            assert snap == twin.snapshot()
+            assert snap is dg.snapshot()  # apply leaves nothing pending
 
     def test_apply_covers_interleaved_adds(self):
         dg = DynamicGraph(6)

@@ -150,6 +150,155 @@ class TestSnapshotStore:
             store.close()
 
 
+def _replay_snapshots(graph, n_steps=4):
+    """The snapshots a one-edge-per-event replay of ``graph`` produces:
+    ``[snapshot_0, snapshot_1, …]``, each one edge larger than the last."""
+    from repro.graph.components import forest_split
+    from repro.graph.dynamic import DynamicGraph, EdgeEvent
+
+    split = forest_split(graph, seed=0)
+    dyn = DynamicGraph(graph.n_nodes, initial=split.initial)
+    snaps = [dyn.snapshot()]
+    for k in range(n_steps):
+        snaps.append(dyn.apply(EdgeEvent(k, split.removed_edges[k : k + 1])))
+    return snaps
+
+
+def _payload_len(graph) -> int:
+    return len(pickle.dumps(graph, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+class TestReplayStore:
+    """The store across a replay's snapshot sequence: every sid publishes
+    in full, and nothing outlives the sid that retires it."""
+
+    def test_every_sid_publishes_in_full(self, graph):
+        snaps = _replay_snapshots(graph)
+        store = SnapshotStore()
+        try:
+            kinds = [store.ref_for(sid, s)[0] for sid, s in enumerate(snaps)]
+            assert set(kinds) <= {"shm", "bytes"}
+            assert store.bytes_shipped == sum(_payload_len(s) for s in snaps)
+            assert store.bytes_saved == 0
+        finally:
+            store.close()
+
+    def test_resolve_bit_identical_to_consumer_snapshot(self, graph):
+        """What a worker walks must be *bitwise* the consumer's snapshot —
+        same indptr/indices/weights — so placement changes no walk."""
+        snaps = _replay_snapshots(graph)
+        store = SnapshotStore()
+        try:
+            snapshots_mod._WORKER_SNAPSHOTS.clear()
+            for sid, snap in enumerate(snaps):
+                got = resolve_snapshot_ref(store.ref_for(sid, snap))
+                assert np.array_equal(got.indptr, snap.indptr)
+                assert np.array_equal(got.indices, snap.indices)
+                assert np.array_equal(got.weights, snap.weights)
+        finally:
+            store.close()
+            snapshots_mod._WORKER_SNAPSHOTS.clear()
+
+    def test_worker_skips_intermediate_sids(self, graph):
+        """A worker that never ran sids 1..k-1 materializes sid k from its
+        own ref alone."""
+        snaps = _replay_snapshots(graph)
+        store = SnapshotStore()
+        try:
+            refs = [store.ref_for(sid, s) for sid, s in enumerate(snaps)]
+            snapshots_mod._WORKER_SNAPSHOTS.clear()  # fresh worker
+            got = resolve_snapshot_ref(refs[-1])
+            assert got == snaps[-1]
+            assert set(snapshots_mod._WORKER_SNAPSHOTS) == {len(snaps) - 1}
+        finally:
+            store.close()
+            snapshots_mod._WORKER_SNAPSHOTS.clear()
+
+    def test_worker_eviction_drops_every_passed_sid(self, graph):
+        snaps = _replay_snapshots(graph)
+        store = SnapshotStore()
+        try:
+            refs = [store.ref_for(sid, s) for sid, s in enumerate(snaps)]
+            snapshots_mod._WORKER_SNAPSHOTS.clear()
+            resolve_snapshot_ref(refs[0])
+            resolve_snapshot_ref(refs[1])
+            assert set(snapshots_mod._WORKER_SNAPSHOTS) == {1}
+            resolve_snapshot_ref(refs[3])
+            assert set(snapshots_mod._WORKER_SNAPSHOTS) == {3}
+        finally:
+            store.close()
+            snapshots_mod._WORKER_SNAPSHOTS.clear()
+
+    def test_retire_below_spares_no_earlier_sid(self, graph):
+        """No snapshot is another's base: ``retire_below(k)`` drops sid 0
+        along with every other sid under k."""
+        snaps = _replay_snapshots(graph)
+        store = SnapshotStore()
+        try:
+            for sid, s in enumerate(snaps):
+                store.ref_for(sid, s)
+            store.retire_below(3)
+            assert set(store._refs) == {3, 4}
+            assert set(store._payload_len) == {3, 4}
+            assert set(store._segments) <= {3, 4}
+        finally:
+            store.close()
+
+    def test_close_unlinks_every_replay_segment(self, graph):
+        before = _shm_names()
+        store = SnapshotStore()
+        for sid, s in enumerate(_replay_snapshots(graph)):
+            store.ref_for(sid, s)
+        store.close()
+        assert _shm_names() <= before
+        assert not store._refs and not store._segments
+
+    def test_shm_ref_is_tiny(self, graph):
+        """A job carries the segment's name and size, not the graph."""
+        store = SnapshotStore()
+        try:
+            ref = store.ref_for(0, graph)
+            if ref[0] != "shm":
+                pytest.skip("no shared memory on this host")
+            assert len(pickle.dumps(ref)) < _payload_len(graph) // 4
+        finally:
+            store.close()
+
+    def test_resolve_rejects_unknown_ref_kind(self, graph):
+        snapshots_mod._WORKER_SNAPSHOTS.clear()
+        with pytest.raises(ValueError, match="unknown snapshot ref kind"):
+            resolve_snapshot_ref(("delta", 1, (("bytes", 0, b""), None)))
+        assert not snapshots_mod._WORKER_SNAPSHOTS
+
+
+class TestRebaseKnobGone:
+    """``snapshot_rebase_every`` left every public signature with the delta
+    chain; passing it is an error, not a silently ignored option."""
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["train_parallel", "run_seq_scenario", "train_dynamic",
+         "ParallelWalkGenerator"],
+    )
+    def test_rejected(self, graph, entry):
+        from repro.api import train_dynamic
+        from repro.dynamic import run_seq_scenario
+        from repro.parallel import ParallelWalkGenerator
+
+        calls = {
+            "train_parallel": lambda **kw: train_parallel(
+                graph, dim=8, hyper=HP, seed=1, **kw),
+            "run_seq_scenario": lambda **kw: run_seq_scenario(
+                graph, dim=8, hyper=HP, seed=1, max_events=1, **kw),
+            "train_dynamic": lambda **kw: train_dynamic(
+                graph, dim=8, hyper=HP, seed=1, max_events=1, **kw),
+            "ParallelWalkGenerator": lambda **kw: ParallelWalkGenerator(
+                graph, **kw),
+        }
+        with pytest.raises(TypeError, match="snapshot_rebase_every"):
+            calls[entry](snapshot_rebase_every=4)
+
+
 class TestPipelineIntegration:
     def tasks(self, graph, other):
         def stream():
@@ -267,3 +416,37 @@ class TestDynamicReplay:
                 edges_per_event=1, chunk_size=8,
             )
         assert _shm_names() - before == set()
+
+    def test_delta_telemetry_reads_zero(self, graph):
+        """Pooled events publish full snapshots only: the delta counters the
+        e2e harness still reads stay 0 while snapshot bytes flow."""
+        from repro.dynamic import run_seq_scenario
+
+        res = run_seq_scenario(
+            graph, dim=8, hyper=HP, seed=3, n_workers=2,
+            edges_per_event=1, chunk_size=8, max_events=4,
+        )
+        t = res.extras["telemetry"]
+        assert t.ipc_snapshot_bytes > 0
+        assert (t.ipc_delta_bytes, t.delta_applies, t.rebase_count) == (0, 0, 0)
+
+    def test_one_chunk_events_ship_each_snapshot_once(self, graph):
+        """One chunk per event: every event's snapshot crosses to the pool
+        exactly once, in full, whichever way the store publishes it."""
+        from repro.graph.components import forest_split
+        from repro.graph.dynamic import DynamicGraph, edge_stream
+
+        split = forest_split(graph, seed=0)
+        events = list(edge_stream(split.removed_edges, max_events=5))
+
+        def tasks():
+            dyn = DynamicGraph(graph.n_nodes, initial=split.initial)
+            return dyn.walk_tasks(events, walks_per_endpoint=2)
+
+        res = train_parallel(
+            graph, dim=8, hyper=HP, n_workers=2, chunk_size=64,
+            negative_source="degree", tasks=tasks, seed=5,
+        )
+        want = sum(_payload_len(task.graph) for task in tasks())
+        assert res.telemetry.ipc_snapshot_bytes == want
+        assert res.telemetry.ipc_snapshot_bytes_saved == 0
