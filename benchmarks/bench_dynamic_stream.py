@@ -9,6 +9,15 @@ merge) must sustain ≥ 3× the event rate of the legacy engine (Python
 edge-set + full ``from_edges`` re-sort per event; re-implemented here as
 the baseline).
 
+The same test gates the **walk-path crossover**: it times the pipeline's
+chunk walker (``repro.parallel.pipeline._run_chunk``) on the replayed
+graph at an event's shape (both endpoints of an edge, twice: 4 walks ×
+20 steps) and at twice ``LOCKSTEP_MIN_WALKS``, once down the per-walk
+path and once in lockstep.  Below the constant the per-walk path must not
+be slower (lockstep time / per-walk time ≥ 1.0), so a change to either
+walker cannot silently move the crossover; the ratio at twice the
+constant is reported, not gated.
+
 ``test_dynamic_stream_drift`` compares negative sources.  Both training
 phases of :func:`repro.dynamic.run_drift_scenario` run through the
 streaming pipeline (2 walk workers), so the comparison isolates the
@@ -31,6 +40,7 @@ stable on any host; the accuracy gap itself is trajectory data for the
 uploaded ``BENCH_*.json``.
 """
 
+import sys
 import time
 
 import numpy as np
@@ -43,9 +53,14 @@ from repro.graph.components import forest_split
 from repro.graph.csr import CSRGraph
 from repro.graph.dynamic import DynamicGraph, edge_stream
 from repro.graph.generators import degree_corrected_sbm
+from repro.parallel import pipeline
+from repro.sampling.lockstep import LOCKSTEP_MIN_WALKS
 from repro.sampling.sources import DecayedSource
+from repro.sampling.walks import WalkParams
 
 N_WORKERS = 2
+#: the dynamic replay's walks: node2vec at the paper's p, q and l = 20
+EVENT_WALK = WalkParams(p=0.5, q=1.0, length=20)
 
 
 class _LegacyEngine:
@@ -77,7 +92,41 @@ def _replay_rate(engine_apply, removed, n_events):
     return n_events / elapsed if elapsed else float("inf"), snap
 
 
-def test_dynamic_stream_delta(benchmark, emit_report, profile):
+def _chunk_rate(graph, chunks, lockstep, monkeypatch):
+    """``_run_chunk`` calls per second over ``chunks`` (``(lo, starts)``
+    pairs), every chunk forced down one path."""
+    monkeypatch.setattr(pipeline, "LOCKSTEP_MIN_WALKS", 0 if lockstep else sys.maxsize)
+    t0 = time.perf_counter()
+    for lo, starts in chunks:
+        pipeline._run_chunk(graph, EVENT_WALK, starts, 0, lo)
+    return len(chunks) / (time.perf_counter() - t0)
+
+
+def _walk_paths(graph, edges, n_walks, n_chunks, monkeypatch, rounds=5):
+    """Best-of-``rounds`` chunk rate of each path (rounds alternate the
+    paths) on chunks of ``n_walks`` walks, two from each endpoint of
+    consecutive replayed edges (4 walks: one event's chunk); returns
+    ``(per_walk_rate, lockstep_rate)``."""
+    ends = edges.reshape(-1)
+    chunks = [
+        (k * n_walks, np.resize(np.roll(ends, -2 * k)[: n_walks // 2], n_walks))
+        for k in range(n_chunks)
+    ]
+    lo, starts = chunks[0]
+    monkeypatch.setattr(pipeline, "LOCKSTEP_MIN_WALKS", sys.maxsize)
+    per_walk, _ = pipeline._run_chunk(graph, EVENT_WALK, starts, 0, lo)
+    monkeypatch.setattr(pipeline, "LOCKSTEP_MIN_WALKS", 0)
+    lockstep, _ = pipeline._run_chunk(graph, EVENT_WALK, starts, 0, lo)
+    assert np.array_equal(per_walk.data, lockstep.data)  # same walks either way
+    rates: dict[bool, list[float]] = {False: [], True: []}
+    for _ in range(rounds):
+        for path in (False, True):
+            rates[path].append(_chunk_rate(graph, chunks, path, monkeypatch))
+    monkeypatch.undo()
+    return max(rates[False]), max(rates[True])
+
+
+def test_dynamic_stream_delta(benchmark, emit_report, profile, monkeypatch):
     n_nodes = 2000 if profile == "paper" else 800
     n_events = 400 if profile == "paper" else 200
     graph = degree_corrected_sbm(n_nodes, 4, avg_degree=8, seed=0)
@@ -93,7 +142,7 @@ def test_dynamic_stream_delta(benchmark, emit_report, profile):
                 f"({graph.n_nodes} nodes, {graph.n_edges} edges, "
                 "edges_per_event=1)"
             ),
-            columns=["variant", "events", "events/s"],
+            columns=["variant", "calls", "calls/s", "speedup"],
         )
 
         # -- engine microbench: snapshot-per-event rate, no training --------
@@ -102,16 +151,39 @@ def test_dynamic_stream_delta(benchmark, emit_report, profile):
         dyn = DynamicGraph(graph.n_nodes, initial=split.initial)
         incr_rate, incr_snap = _replay_rate(dyn.apply, removed, n_events)
         assert incr_snap == legacy_snap  # same replay, same graph
-        for label, rate in (
-            ("legacy rebuild (engine)", legacy_rate),
-            ("incremental merge (engine)", incr_rate),
+        for label, rate, speedup in (
+            ("legacy rebuild (engine)", legacy_rate, ""),
+            ("incremental merge (engine)", incr_rate, round(incr_rate / legacy_rate, 2)),
         ):
-            report.add_row(label, n_events, round(rate, 1))
+            report.add_row(label, n_events, round(rate, 1), speedup)
             report.data[label] = {"events": n_events, "events_per_s": rate}
+
+        # -- walk paths: per-walk vs lockstep chunks on the replayed graph --
+        walked = removed[:n_events]
+        for n_walks, n_chunks in ((4, 200), (2 * LOCKSTEP_MIN_WALKS, 40)):
+            per_walk, lockstep = _walk_paths(incr_snap, walked, n_walks, n_chunks, monkeypatch)
+            label = f"{n_walks} walks x {EVENT_WALK.length}"
+            report.add_row(f"lockstep walk ({label})", n_chunks, round(lockstep, 1), "")
+            report.add_row(
+                f"per-walk walk ({label})", n_chunks, round(per_walk, 1),
+                round(per_walk / lockstep, 2),
+            )
+            report.data[f"walk paths ({label})"] = {
+                "walks": n_walks,
+                "chunks": n_chunks,
+                "per_walk_chunks_per_s": per_walk,
+                "lockstep_chunks_per_s": lockstep,
+                "per_walk_vs_lockstep": per_walk / lockstep,
+            }
         report.add_note(
-            "snapshot-per-event replay with no training; the legacy "
-            "baseline re-sorts the full edge set every event, the "
+            "engine rows: snapshot-per-event replay with no training; the "
+            "legacy baseline re-sorts the full edge set every event, the "
             "incremental engine merges the event into the live CSR"
+        )
+        report.add_note(
+            "walk rows: _run_chunk on the replayed graph, every chunk forced "
+            "down one path (best of 5 alternating rounds); speedup = lockstep "
+            f"time / per-walk time; LOCKSTEP_MIN_WALKS = {LOCKSTEP_MIN_WALKS}"
         )
         return report
 
@@ -122,6 +194,9 @@ def test_dynamic_stream_delta(benchmark, emit_report, profile):
     legacy = report.data["legacy rebuild (engine)"]["events_per_s"]
     incr = report.data["incremental merge (engine)"]["events_per_s"]
     assert incr >= 3.0 * legacy, (incr, legacy)
+    # CI gate: below LOCKSTEP_MIN_WALKS the per-walk path is not slower
+    event = report.data[f"walk paths (4 walks x {EVENT_WALK.length})"]
+    assert event["per_walk_vs_lockstep"] >= 1.0, event
 
 VARIANTS = (
     ("two_pass (frozen)", "two_pass"),

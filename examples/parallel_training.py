@@ -32,7 +32,9 @@ Knobs demonstrated below:
 * ``result.telemetry`` — per-stage timing, IPC bytes, training walks/s and
   contexts/s, realized overlap;
 * lockstep walks — a chunk of at least ``LOCKSTEP_MIN_WALKS`` walks
-  advances all its walks together, bitwise the same walks as one at a time.
+  advances all its walks together, bitwise the same walks as one at a time
+  (smaller chunks, such as a dynamic replay's per-event chunks, walk one at
+  a time with a scalar step, which is faster there).
 
 Run:  python examples/parallel_training.py
 """
@@ -128,7 +130,11 @@ def main() -> None:
     # -- lockstep vs per-walk walks on an unweighted graph --------------- #
     # every walk draws one uniform per step from its own stream, so chunks
     # below LOCKSTEP_MIN_WALKS (walked one at a time) and larger chunks
-    # (walked in lockstep) produce the same corpus
+    # (walked in lockstep) produce the same corpus.  The timing shows the
+    # other side of the crossover: a 256-walk lockstep step spreads its
+    # dozen array calls over 256 lanes and beats the scalar per-walk step
+    # several times over, while on an event's 4-walk chunk the per-walk
+    # path is 1.3-2.6x faster (benchmarks/bench_dynamic_stream.py)
     flat = barabasi_albert(graph.n_nodes, 8, seed=0)
     corpora, seconds = {}, {}
     for label, chunk in (("per-walk", LOCKSTEP_MIN_WALKS - 1), ("lockstep", 256)):

@@ -166,6 +166,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -446,7 +447,22 @@ class ChunkContexts:
     def from_walks(cls, walks: list[np.ndarray], window: int) -> ChunkContexts:
         """Every window of ``walks`` (each at least ``window`` long) in one
         sliding-window pass over their concatenation."""
-        lengths = np.fromiter(map(len, walks), dtype=np.int64, count=len(walks))
+        sizes = [len(w) for w in walks]
+        if sizes and min(sizes) == max(sizes):
+            # equal lengths (every walk of a chunk that no sink cut short):
+            # context t of walk i is block[i, t : t + window], so each
+            # positive column is one shifted slice of the (walks, length) block
+            block = np.array(walks, dtype=np.int64)
+            per_walk = sizes[0] - (window - 1)
+            positives = np.empty((len(walks), per_walk, window - 1), dtype=np.int64)
+            for j in range(window - 1):
+                positives[:, :, j] = block[:, j + 1 : j + 1 + per_walk]
+            return cls(
+                block[:, :per_walk].reshape(-1),
+                positives.reshape(-1, window - 1),
+                np.arange(0, per_walk * len(walks) + 1, per_walk, dtype=np.int64),
+            )
+        lengths = np.array(sizes, dtype=np.int64)
         counts = lengths - (window - 1)
         offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
         if not walks:
@@ -466,7 +482,7 @@ class ChunkContexts:
     @property
     def counts(self) -> np.ndarray:
         """Contexts per walk."""
-        return np.diff(self.offsets)
+        return self.offsets[1:] - self.offsets[:-1]
 
     def split(self, rows: np.ndarray) -> list[np.ndarray]:
         """Per-walk views of a (T, …) array aligned with the contexts."""
@@ -515,14 +531,23 @@ def chunk_stats(
     """Walk/context counts + summed analytic op profile for one chunk.
 
     Profiles depend only on the context count, so walks are grouped by
-    their context count and each distinct profile is evaluated once — the
+    their context count and each distinct profile is looked up once — the
     grouped sum keeps the op-count telemetry exact (profiles are
     integer-valued in float64) without a per-walk ``op_profile`` call.
     """
     ops = OpCount()
     for n, count in Counter(contexts.counts.tolist()).items():
-        ops = ops + count * model.op_profile(model.dim, n, window - 1, ns)
+        ops = ops + count * _op_profile(type(model), model.dim, n, window - 1, ns)
     return ChunkStats(n_walks=len(contexts), n_contexts=contexts.n, ops=ops)
+
+
+@lru_cache(maxsize=1024)
+def _op_profile(
+    cls: type[EmbeddingModel], dim: int, n_contexts: int, n_positives: int, ns: int
+) -> OpCount:
+    """``cls.op_profile``, memoized: a profile is a pure function of its
+    arguments (a classmethod) and an :class:`OpCount` is immutable."""
+    return cls.op_profile(dim, n_contexts, n_positives, ns)
 
 
 class ReferenceKernel(ExecBackend):

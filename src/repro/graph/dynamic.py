@@ -13,9 +13,9 @@ the bounded-prefetch walk→train pipeline with static training.
 
 Snapshots are maintained incrementally: :meth:`snapshot` merges the pending
 batch into the previous CSR via :meth:`~repro.graph.csr.CSRGraph.insert_edges`
-(per-node insertion counts + one concatenate/scatter pass), so per-event
-cost is O(delta + touched adjacency) on top of a flat vectorized copy —
-no O(edges log edges) re-sort, no Python-level edge-set iteration.
+(a bisect per new arc + one splice copy per array), so per-event cost is
+O(delta log deg) on top of a flat copy of the arrays — no O(edges log
+edges) re-sort, no iteration over the stored edges.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class EdgeEvent:
         """Unique endpoints of this batch — walk starts for the 'seq' scenario
         (the paper starts a random walk "from both the ends of an added
         edge")."""
-        return np.unique(self.edges)
+        return np.array(sorted(set(self.edges.ravel().tolist())), dtype=np.int64)
 
     def __repr__(self) -> str:
         return f"EdgeEvent(step={self.step}, n_edges={self.edges.shape[0]})"
@@ -62,12 +62,11 @@ class DynamicGraph:
     node_labels:
         class labels carried onto every snapshot.
 
-    State is the current immutable CSR snapshot plus a buffer of pending
-    canonical insertions; :meth:`snapshot` merges the buffer with one
-    vectorized :meth:`~repro.graph.csr.CSRGraph.insert_edges` pass.
-    Membership queries cover both the merged CSR (binary search) and the
-    pending buffer (sorted compound keys), so the pre-CSR edge-set
-    semantics are preserved exactly.
+    State is the current immutable CSR snapshot plus a set of pending
+    canonical insertions; :meth:`snapshot` merges the set with one
+    :meth:`~repro.graph.csr.CSRGraph.insert_edges` pass.  Membership
+    queries cover both the merged CSR (binary search) and the pending set,
+    so the pre-CSR edge-set semantics are preserved exactly.
     """
 
     def __init__(
@@ -110,15 +109,8 @@ class DynamicGraph:
         else:
             self._csr = initial
         self._n_edges = self._csr.n_edges
-        #: canonical (u <= v, lexsorted, deduped) new-edge batches not yet
-        #: merged into the CSR, and their sorted compound keys for O(log)
-        #: membership.  Keys are u * n_nodes + v — int64-safe for any node
-        #: universe below ~3e9 (far beyond this engine's target scale).
-        self._pending: list[np.ndarray] = []
-        self._pending_keys = np.empty(0, dtype=np.int64)
-
-    def _keys(self, edges: np.ndarray) -> np.ndarray:
-        return edges[:, 0] * np.int64(self.n_nodes) + edges[:, 1]
+        #: canonical (u <= v) new edges not yet merged into the CSR
+        self._pending: set[tuple[int, int]] = set()
 
     # ------------------------------------------------------------------ #
 
@@ -128,11 +120,7 @@ class DynamicGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         u, v = (int(u), int(v)) if u <= v else (int(v), int(u))
-        if self._csr.has_edge(u, v):
-            return True
-        key = np.int64(u) * np.int64(self.n_nodes) + np.int64(v)
-        i = np.searchsorted(self._pending_keys, key)
-        return bool(i < self._pending_keys.shape[0] and self._pending_keys[i] == key)
+        return (u, v) in self._pending or self._csr.has_edge(u, v)
 
     def add_edge(self, u: int, v: int) -> bool:
         """Insert one edge; returns False if it already existed."""
@@ -141,73 +129,36 @@ class DynamicGraph:
     def add_edges(self, edges: Iterable[tuple[int, int]] | np.ndarray) -> int:
         """Insert a batch; returns the number of genuinely new edges.
 
-        One vectorized pass: range check, canonicalize to ``u <= v``,
-        in-batch dedup via sorted compound keys, then drop edges already in
-        the merged CSR (per-touched-row binary search) or in the pending
-        buffer.  No per-edge Python loop.
+        One pass: range check, canonicalize to ``u <= v`` and dedup within
+        the batch, then drop edges already in the merged CSR (a bisect of
+        the row) or in the pending set.  O(batch log deg).
         """
-        return self._insert(edges).shape[0]
-
-    def _insert(self, edges: Iterable[tuple[int, int]] | np.ndarray) -> np.ndarray:
-        """Vectorized insertion; returns the canonical (d, 2) array of
-        genuinely new edges (``u <= v``, lexsorted) this call added."""
         edges = np.asarray(
             edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64
         ).reshape(-1, 2)
         if edges.shape[0] == 0:
-            return edges
+            return 0
         if edges.min() < 0 or edges.max() >= self.n_nodes:
             raise ValueError(
                 f"edge batch out of range for n={self.n_nodes}: "
                 f"ids span [{edges.min()}, {edges.max()}]"
             )
-        lo = np.minimum(edges[:, 0], edges[:, 1])
-        hi = np.maximum(edges[:, 0], edges[:, 1])
-        canon = np.stack([lo, hi], axis=1)
-        canon = canon[np.lexsort((canon[:, 1], canon[:, 0]))]
-        keys = self._keys(canon)
-        if keys.shape[0] > 1:
-            keep = np.ones(keys.shape[0], dtype=bool)
-            keep[1:] = keys[1:] != keys[:-1]
-            canon, keys = canon[keep], keys[keep]
-
-        # drop edges already merged into the CSR (touched rows only)
-        present = np.zeros(canon.shape[0], dtype=bool)
-        nodes, starts = np.unique(canon[:, 0], return_index=True)
-        bounds = np.append(starts, canon.shape[0])
-        for i, node in enumerate(nodes):
-            s = slice(int(bounds[i]), int(bounds[i + 1]))
-            present[s] = self._csr.has_edges(int(node), canon[s, 1])
-        # ... and edges already waiting in the pending buffer
-        if self._pending_keys.shape[0]:
-            idx = np.searchsorted(self._pending_keys, keys)
-            ok = idx < self._pending_keys.shape[0]
-            pending_dup = np.zeros(canon.shape[0], dtype=bool)
-            pending_dup[ok] = self._pending_keys[idx[ok]] == keys[ok]
-            present |= pending_dup
-
-        new = canon[~present]
-        if new.shape[0]:
-            self._pending.append(new)
-            self._pending_keys = np.union1d(self._pending_keys, keys[~present])
-            self._n_edges += new.shape[0]
-        return new
+        canon = {(u, v) if u <= v else (v, u) for u, v in edges.tolist()}
+        new = {e for e in canon if e not in self._pending and not self._csr.has_edge(*e)}
+        self._pending |= new
+        self._n_edges += len(new)
+        return len(new)
 
     def snapshot(self) -> CSRGraph:
         """Immutable CSR view of the current edge set.
 
         Pending insertions merge incrementally
-        (:meth:`~repro.graph.csr.CSRGraph.insert_edges`: per-node insertion
-        counts + one concatenate/scatter pass); with nothing pending the
-        cached snapshot object is returned as-is."""
+        (:meth:`~repro.graph.csr.CSRGraph.insert_edges`: a bisect per new
+        arc + one splice copy per array); with nothing pending the cached
+        snapshot object is returned as-is."""
         if self._pending:
-            batch = (
-                self._pending[0]
-                if len(self._pending) == 1
-                else np.concatenate(self._pending)
-            )
-            self._pending = []
-            self._pending_keys = np.empty(0, dtype=np.int64)
+            batch = np.array(sorted(self._pending), dtype=np.int64)
+            self._pending = set()
             self._csr = self._csr.insert_edges(batch)
         return self._csr
 
@@ -236,7 +187,7 @@ class DynamicGraph:
             raise ValueError("walks_per_endpoint must be >= 1")
         for event in events:
             snap = self.apply(event)
-            starts = np.tile(event.touched_nodes, int(walks_per_endpoint))
+            starts = np.concatenate([event.touched_nodes] * int(walks_per_endpoint))
             yield WalkTask(starts=starts, epoch=event.step, graph=snap)
 
     def __repr__(self) -> str:

@@ -43,19 +43,21 @@ class OpCount:
     walk: float = 0.0
 
     def __add__(self, other: "OpCount") -> "OpCount":
-        return OpCount(
-            **{f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)}
-        )
+        return OpCount(*[getattr(self, n) + getattr(other, n) for n in _FIELDS])
 
     def __mul__(self, k: float) -> "OpCount":
-        return OpCount(**{f.name: getattr(self, f.name) * k for f in fields(self)})
+        return OpCount(*[getattr(self, n) * k for n in _FIELDS])
 
     __rmul__ = __mul__
 
     def as_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {n: getattr(self, n) for n in _FIELDS}
 
     @property
     def total_arithmetic(self) -> float:
         """MACs + divisions + transcendentals — a rough FLOP proxy."""
         return self.mac + self.div + self.exp
+
+
+#: the op classes in field order (looked up once, not per arithmetic call)
+_FIELDS = tuple(f.name for f in fields(OpCount))

@@ -233,11 +233,10 @@ def _run_chunk(
     if len(starts) >= LOCKSTEP_MIN_WALKS:
         batch = lockstep_walks(graph, params, starts, streams)
     else:
-        walker = Node2VecWalker(graph, params, seed=0)
-        walks = []
-        for s, rng in zip(starts, streams, strict=True):
-            walker.rng = rng
-            walks.append(walker.walk(int(s)))
+        walks = [
+            Node2VecWalker(graph, params, seed=rng).walk(s)
+            for s, rng in zip(starts.tolist(), streams, strict=True)
+        ]
         batch = WalkBatch.from_walks(walks, params.length)
     return batch, time.perf_counter() - t0
 

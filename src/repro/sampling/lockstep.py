@@ -12,15 +12,17 @@ strategy draws exactly one ``Generator.random()`` per transition.  A
 walk's uniforms are then the first ``length - 1`` draws of its stream, and
 one ``random(length - 1)`` call yields the same bits as the scalar calls.
 The pipeline takes this path for every chunk of at least
-:data:`LOCKSTEP_MIN_WALKS` walks; smaller chunks walk one at a time.
+:data:`LOCKSTEP_MIN_WALKS` walks; smaller chunks walk one at a time with
+the per-walk scalar step, which costs less than a lockstep step's dozen
+array calls until a chunk has about a dozen lanes.
 
 Why the walks are identical
 ---------------------------
-One step of the per-walk path picks
-``searchsorted(cumsum(w · α), u · total, side="right")`` over the current
-neighbor row.  Here each lane's row is gathered into a padded block whose
-width is set by a degree bucket (lanes of degree in ``[2^(b-1), 2^b)``
-share a block, so a hub does not pad every lane to the maximum degree):
+One step of the per-walk path picks ``bisect_right(c, u · total)``, ``c``
+the left-fold prefix sums of ``w · α`` over the current neighbor row.
+Here each lane's row is gathered into a padded block whose width is set
+by a degree bucket (lanes of degree in ``[2^(b-1), 2^b)`` share a block,
+so a hub does not pad every lane to the maximum degree):
 
 * a row's valid cells come first, so their prefix sums and the total
   (the sum at the lane's last valid cell) are the row's own; padded cells
@@ -29,10 +31,10 @@ share a block, so a hub does not pad every lane to the maximum degree):
   with ``u < 1`` (a zero total counts them and raises, as below);
 * ``α`` is ``1/p`` on the previous node, else ``1`` (``q == 1``) or ``1``
   / ``1/q`` from a vectorized adjacency test, multiplied the same way;
-* ``np.cumsum(axis=1)`` is the same sequential sum as the per-row
-  ``cumsum``;
-* the count of valid cells ``≤ u · total`` is ``searchsorted(…,
-  side="right")`` on a sorted row.
+* ``np.cumsum(axis=1)`` is the same sequential sum as the per-row left
+  fold;
+* the count of valid cells ``≤ u · total`` is ``bisect_right`` on a
+  sorted row.
 
 A lane whose current node has no out-neighbors stops there, which truncates
 that walk exactly where the per-walk path does.
@@ -49,22 +51,28 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.sampling.walks import WalkParams
+from repro.sampling.walks import ZERO_TOTAL_ERROR, WalkParams
 
 __all__ = ["LOCKSTEP_MIN_WALKS", "WalkBatch", "lockstep_walks"]
 
 #: Smallest chunk the lockstep path takes.  Below it the fixed per-step
-#: array overhead (a sort and a few degree blocks per step) costs more than
-#: the per-walk loop saves.  Measured on a 2-vCPU x86 VM, p = 0.5:
+#: array overhead (a sort and a few degree blocks per step, a dozen numpy
+#: calls) costs more than the per-walk scalar step over the same lanes.
+#: Measured on a 2-vCPU x86 VM, p = 0.5, as lockstep time / per-walk time
+#: (above 1: the per-walk path is faster), best of 5:
 #:
-#: * the weighted 1000-node degree-corrected SBM of the static benchmark
-#:   (mean degree 10, l = 20–80, q = 0.5, 1 and 2): lockstep is 0.7–0.8×
-#:   the per-walk loop at 2 walks per chunk, even at 3, 1.1–1.3× faster at
-#:   4, 1.9× at 8 and 7–10× at 256;
-#: * unweighted 20-step chunks on the dynamic replay's 1000-node graph (mean
-#:   degree 5–8, q = 1 and 2): 0.4–0.5× at 1 walk, 0.6–0.7× at 2,
-#:   0.9–1.0× at 3, 1.1× at 4 and 1.6–1.7× at 8.
-LOCKSTEP_MIN_WALKS = 4
+#: * ``_run_chunk`` alone, unweighted 20- and 80-step chunks on the dynamic
+#:   replay's 1000-node graph (mean degree 4, q = 0.5, 1 and 2): 1.3–2.6 at
+#:   4 walks, 1.2–1.6 at 8, 1.0–1.4 at 10, 1.0–1.1 at 12, 0.8–0.96 at 16
+#:   and 0.6–0.85 at 24;
+#: * the same on the weighted 1000-node degree-corrected SBM of the static
+#:   benchmark (mean degree 10): 1.3–2.3 at 4, 0.9–1.3 at 8, 0.87–1.08 at
+#:   10, 0.81–0.99 at 12 and 0.75–0.85 at 16;
+#: * whole ``train_parallel`` runs with training in the loop ("proposed",
+#:   "blocked", d = 32, inline chunks), replay at l = 20 and static at
+#:   l = 20/80, q = 1 and 2: 0.98–1.54 at 8, 0.73–1.18 at 10, 0.81–1.06 at
+#:   12 and 0.72–1.02 at 16.
+LOCKSTEP_MIN_WALKS = 12
 
 #: A degree bucket merges into the next wider one when padding it costs
 #: fewer cells than this (about one block's fixed per-step overhead).
@@ -204,7 +212,7 @@ def lockstep_walks(
             thr = u[a:b] * c[rows[: b - a], d[a:b] - 1]
             pick[a:b] = np.count_nonzero(c <= thr[:, None], axis=1)
         if (pick[:m] >= d).any():
-            raise IndexError("walk stepped from a node whose out-edge weights sum to 0")
+            raise IndexError(ZERO_TOTAL_ERROR)
         prev, cur = cur, indices[base + pick[:m]]
         data[lanes, i] = cur
     return WalkBatch(data, lengths)

@@ -11,12 +11,18 @@ Implements Eq. (1) of the paper: from the current node ``u`` (arrived from
 Three sampling strategies are provided:
 
 ``"exact"`` (default)
-    per-step categorical over the current neighbor slice.  Fully vectorized
-    per step, no precomputation; when ``q == 1`` (the paper's Table 2 value)
-    the adjacency test vanishes and only the return bias remains.  Every
-    transition draws exactly one ``rng.random()``, on weighted and
-    unweighted graphs alike, so :mod:`repro.sampling.lockstep` reproduces
-    these walks in bulk.
+    per-step categorical over the current neighbor slice, no
+    precomputation.  A step weights the row by ``α``, prefix-sums it and
+    bisects the prefix sums at the drawn threshold ``u · total``.  A numpy
+    call costs microseconds whatever its size and a Python pass ~50 ns a
+    cell, so a row narrower than :data:`WIDE_ROW` is stepped on Python
+    floats (with an ``itertools.accumulate`` prefix sum) and a wider one
+    on numpy arrays (``np.cumsum``).  Both are the same products and the
+    same left fold, so a walk's bits do not depend on the split.  When
+    ``q == 1`` (the paper's Table 2 value) the adjacency test vanishes and
+    only the return bias remains.  Every transition draws exactly one
+    ``rng.random()``, on weighted and unweighted graphs alike, so
+    :mod:`repro.sampling.lockstep` reproduces these walks in bulk.
 ``"alias"``
     per-(prev, cur) alias tables precomputed for the whole graph (the classic
     node2vec preprocessing).  Exact O(1) per step but O(Σ deg²) build cost —
@@ -31,7 +37,9 @@ All strategies produce identical *distributions*; they differ only in cost.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -40,7 +48,19 @@ from repro.sampling.alias import AliasTable
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_in_set, check_positive
 
-__all__ = ["Node2VecWalker", "WalkParams"]
+__all__ = ["WIDE_ROW", "ZERO_TOTAL_ERROR", "Node2VecWalker", "WalkParams"]
+
+#: Message of the ``IndexError`` a step raises from a row whose weights sum
+#: to 0 (no threshold ``u · total`` falls inside such a row).
+ZERO_TOTAL_ERROR = "walk stepped from a node whose out-edge weights sum to 0"
+
+#: Rows at least this wide are stepped on numpy arrays, narrower ones on
+#: Python floats.  One weighted step from a row of width d (previous node
+#: of degree 8), Python floats / numpy arrays, µs, best of 9 on a 2-vCPU
+#: x86 VM: q = 1: d = 8 3.5 / 7.0, 32 4.6 / 7.2, 64 6.9 / 7.6, 96 9.1 /
+#: 7.8, 128 11.9 / 8.3, 1024 70 / 13; q = 0.5: d = 8 8.0 / 19.7, 32 12.5 /
+#: 20.5, 64 18.8 / 21.1, 96 26.0 / 22.5, 128 32.8 / 23.0, 1024 214 / 48.
+WIDE_ROW = 80
 
 
 @dataclass(frozen=True)
@@ -87,10 +107,17 @@ class Node2VecWalker:
         check_in_set("strategy", strategy, ("exact", "alias", "rejection"))
         self.strategy = strategy
         self.rng = as_generator(seed)
+        # Python-int views of the CSR arrays: a step reads a few scalars,
+        # which a memoryview returns without numpy's per-item cost
+        self._indptr = memoryview(graph.indptr)
+        self._indices = memoryview(graph.indices)
+        self._weights = memoryview(graph.weights)
 
         p, q = self.params.p, self.params.q
         self._uniform_q = bool(q == 1.0)
-        self._alpha_max = max(1.0 / p, 1.0, 1.0 / q)
+        self._inv_p = 1.0 / p
+        self._inv_q = 1.0 / q
+        self._alpha_max = max(self._inv_p, 1.0, self._inv_q)
 
         self._edge_alias: dict[tuple[int, int], AliasTable] | None = None
         self._node_alias: list[AliasTable | None] | None = None
@@ -105,17 +132,39 @@ class Node2VecWalker:
 
     def _transition_weights(self, t: int, u: int) -> np.ndarray:
         """Un-normalized α_pq(t, x)·w_ux over the neighbors of ``u``."""
-        g = self.graph
-        nbrs = g.neighbors(u)
-        w = g.neighbor_weights(u)
-        p, q = self.params.p, self.params.q
+        ptr = self._indptr
+        return np.asarray(self._biased(t, ptr[u], ptr[u + 1]), dtype=np.float64)
+
+    def _row(self, a: int, b: int):
+        """Weights of row cells ``[a, b)``: Python floats on a narrow row,
+        a fresh array on a wide one."""
+        w = self.graph.weights[a:b]
+        return w.copy() if b - a >= WIDE_ROW else w.tolist()
+
+    def _biased(self, t: int, a: int, b: int):
+        """Row ``[a, b)`` (of the node reached from ``t``) weighted by
+        α_pq(t, x): ``1/p`` on ``t``, ``1`` on a neighbor of ``t``, else
+        ``1/q`` (Eq. (1)).  Neighbors of ``t`` are found through a set of
+        t's row when both rows are narrow, else by numpy's binary search
+        of t's row (``has_edges``), so the step after a hub costs
+        O(deg(u) log deg(t)), not O(deg(t))."""
+        w = self._row(a, b)
+        idx = self._indices
         if not self._uniform_q:
-            alpha = np.full(nbrs.shape[0], 1.0 / q)
-            alpha[g.has_edges(t, nbrs)] = 1.0
-        else:
-            alpha = np.ones(nbrs.shape[0])
-        alpha[nbrs == t] = 1.0 / p
-        return w * alpha
+            g, ptr, inv_q = self.graph, self._indptr, self._inv_q
+            if b - a >= WIDE_ROW:
+                w = np.where(g.has_edges(t, g.indices[a:b]), w, w * inv_q)
+            else:
+                if ptr[t + 1] - ptr[t] >= WIDE_ROW:
+                    near = g.has_edges(t, g.indices[a:b]).tolist()
+                else:
+                    row = set(idx[ptr[t] : ptr[t + 1]])
+                    near = [v in row for v in idx[a:b]]
+                w = [x if n else x * inv_q for n, x in zip(near, w, strict=True)]
+        k = bisect_left(idx, t, a, b)  # rows are sorted and duplicate-free
+        if k < b and idx[k] == t:
+            w[k - a] = self._weights[k] * self._inv_p
+        return w
 
     def _build_alias_tables(self) -> None:
         """Per-(prev, cur) alias tables — the classic node2vec preprocessing."""
@@ -140,21 +189,30 @@ class Node2VecWalker:
     # Stepping
     # ------------------------------------------------------------------ #
 
+    def _draw(self, a: int, b: int, w) -> int:
+        """The neighbor at the first cell of row ``[a, b)`` whose prefix sum
+        of ``w`` exceeds ``u · total``: ``searchsorted(cumsum(w), u · total,
+        side="right")`` as a left fold and a bisect."""
+        c = np.cumsum(w) if b - a >= WIDE_ROW else list(accumulate(w))
+        k = bisect_right(c, self.rng.random() * c[-1])
+        if k == b - a:
+            raise IndexError(ZERO_TOTAL_ERROR)
+        return self._indices[a + k]
+
     def _first_step(self, start: int) -> int:
         """Weight-proportional first transition (no previous node yet)."""
-        g = self.graph
-        nbrs = g.neighbors(start)
-        if nbrs.size == 0:
+        a, b = self._indptr[start], self._indptr[start + 1]
+        if a == b:
             return -1
-        c = np.cumsum(g.neighbor_weights(start))
-        return int(nbrs[np.searchsorted(c, self.rng.random() * c[-1], side="right")])
+        return self._draw(a, b, self._row(a, b))
 
     def _step_exact(self, t: int, u: int) -> int:
-        nbrs = self.graph.neighbors(u)
-        if nbrs.size == 0:
+        """One transition by Eq. (1): the row weighted by ``α``, then a
+        draw."""
+        a, b = self._indptr[u], self._indptr[u + 1]
+        if a == b:
             return -1
-        c = np.cumsum(self._transition_weights(t, u))
-        return int(nbrs[np.searchsorted(c, self.rng.random() * c[-1], side="right")])
+        return self._draw(a, b, self._biased(t, a, b))
 
     def _step_alias(self, t: int, u: int) -> int:
         nbrs = self.graph.neighbors(u)
@@ -205,24 +263,15 @@ class Node2VecWalker:
         returned array always begins with ``start``.
         """
         length = self.params.length
-        out = np.empty(length, dtype=np.int64)
-        out[0] = start
-        if length == 1:
-            return out
-        nxt = self._first_step(start)
-        if nxt < 0:
-            return out[:1]
-        out[1] = nxt
-        filled = 2
-        t, u = start, nxt
-        for i in range(2, length):
-            x = self.step(t, u)
-            if x < 0:
-                break
-            out[i] = x
-            filled = i + 1
-            t, u = u, x
-        return out[:filled]
+        out = [int(start)]
+        if length > 1:
+            prev, cur = out[0], self._first_step(out[0])
+            while cur >= 0:
+                out.append(cur)
+                if len(out) == length:
+                    break
+                prev, cur = cur, self.step(prev, cur)
+        return np.array(out, dtype=np.int64)
 
     def walks_from(self, starts) -> list[np.ndarray]:
         """One walk per entry of ``starts`` (used by the 'seq' scenario which

@@ -218,6 +218,23 @@ class TestBlockedStaging:
         blocks = list(_context_blocks(walks, WINDOW, 3))
         assert [len(b) for b in blocks] == [3, 3, 1]
 
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_staged_windows_equal_per_walk_windows(self, ragged):
+        """Equal-length chunks (one (walks, length) block) and ragged ones
+        (one pass over the concatenation) stage every walk's own sliding
+        windows, as contiguous arrays."""
+        rng = np.random.default_rng(5)
+        lengths = [20, 7, 5, 13] if ragged else [20] * 4
+        walks = [rng.integers(0, 30, size=n) for n in lengths]
+        contexts = prepare_contexts(walks, WINDOW)
+        assert contexts.centers.flags.c_contiguous
+        assert contexts.positives.flags.c_contiguous
+        assert contexts.counts.tolist() == [n - WINDOW + 1 for n in lengths]
+        for walk, got in zip(walks, contexts, strict=True):
+            want = contexts_from_walk(walk, WINDOW)
+            assert np.array_equal(got.centers, want.centers)
+            assert np.array_equal(got.positives, want.positives)
+
     def test_bulk_draws_per_block(self):
         """A call spanning multiple blocks draws one bulk pass per block —
         equivalent to splitting the call at block boundaries."""

@@ -124,10 +124,37 @@ class TestBitIdentity:
         g = CSRGraph.from_edges(3, [(0, 1), (1, 2)], [0.0, 0.0], directed=True)
         params = WalkParams(length=3)
         starts = np.zeros(4, dtype=np.int64)
-        with pytest.raises(IndexError):
+        message = "walk stepped from a node whose out-edge weights sum to 0"
+        with pytest.raises(IndexError, match=message):
             per_walk(g, params, starts, 0)
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match=message):
             lockstep_walks(g, params, starts, streams(0, 4))
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize(
+        "n_walks", [LOCKSTEP_MIN_WALKS - 1, LOCKSTEP_MIN_WALKS, 2 * LOCKSTEP_MIN_WALKS]
+    )
+    def test_hub_row(self, weighted, q, n_walks):
+        """A row of degree 600, far wider than the property's graphs: the
+        scalar step's prefix sum and bisect meet lockstep's padded blocks
+        on both sides of the crossover."""
+        rng = as_generator(4)
+        n, hub_degree = 700, 600
+        spokes = np.stack([np.zeros(hub_degree, dtype=np.int64),
+                           np.arange(1, hub_degree + 1)], axis=1)
+        rim = rng.integers(1, n, size=(3 * n, 2))
+        edges = np.concatenate([spokes, rim])
+        weights = rng.uniform(0.05, 5.0, size=edges.shape[0]) if weighted else None
+        g = CSRGraph.from_edges(n, edges, weights)
+        assert g.degree(0) >= 500
+        params = WalkParams(p=0.5, q=q, length=30)
+        starts = np.resize([0, 5, 0, 650], n_walks)
+        expected = per_walk(g, params, starts, 9)
+        assert sum(int((w == 0).sum()) for w in expected) > n_walks  # hub revisited
+        assert_same_walks(expected, lockstep_walks(g, params, starts, streams(9, n_walks)))
+        batch, _ = pipeline_mod._run_chunk(g, params, starts, SEED, 9)
+        assert_same_walks(expected, batch)
 
 
 class TestChunkPath:

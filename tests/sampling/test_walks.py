@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi, ring_of_cliques, random_tree
+from repro.sampling import walks as walks_mod
 from repro.sampling.walks import Node2VecWalker, WalkParams
 
 
@@ -140,6 +141,40 @@ class TestBiasSemantics:
         walker = Node2VecWalker(g, WalkParams(length=2), seed=0)
         firsts = [int(walker.walk(0)[1]) for _ in range(300)]
         assert np.mean(np.asarray(firsts) == 1) > 0.95
+
+
+class TestWideRows:
+    """Rows of at least ``WIDE_ROW`` cells step on numpy arrays, narrower
+    ones on Python floats: the same products and left fold, so the same
+    bits."""
+
+    @pytest.fixture()
+    def graph(self):
+        # two hubs (degrees ~300 and ~150) over a sparse weighted rim
+        rng = np.random.default_rng(6)
+        n = 400
+        hubs = [np.stack([np.full(k, h), rng.choice(np.arange(2, n), k, replace=False)], 1)
+                for h, k in ((0, 300), (1, 150))]
+        edges = np.concatenate(hubs + [rng.integers(2, n, size=(3 * n, 2)), [[0, 1]]])
+        return CSRGraph.from_edges(n, edges, rng.uniform(0.05, 5.0, size=edges.shape[0]))
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+    def test_split_does_not_change_walks(self, graph, q, monkeypatch):
+        params = WalkParams(p=0.5, q=q, length=30, walks_per_node=1)
+        runs = []
+        for wide_row in (1, walks_mod.WIDE_ROW, graph.n_nodes):
+            monkeypatch.setattr(walks_mod, "WIDE_ROW", wide_row)
+            runs.append(Node2VecWalker(graph, params, seed=3).simulate())
+        assert sum(int(np.isin(w, [0, 1]).sum()) for w in runs[0]) > 100  # hubs visited
+        for walks in runs[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(runs[0], walks, strict=True))
+
+    def test_zero_total_wide_row_raises(self):
+        edges = [(0, v) for v in range(1, 2 * walks_mod.WIDE_ROW)]
+        g = CSRGraph.from_edges(2 * walks_mod.WIDE_ROW, edges, [0.0] * len(edges),
+                                directed=True)
+        with pytest.raises(IndexError, match=walks_mod.ZERO_TOTAL_ERROR):
+            Node2VecWalker(g, WalkParams(length=3), seed=0).walk(0)
 
 
 class TestStrategyEquivalence:
