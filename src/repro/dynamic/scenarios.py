@@ -173,8 +173,10 @@ def run_seq_scenario(
     store / publish_every:
         serving-store hookup, forwarded to
         :func:`~repro.parallel.train_parallel`: each replayed task epoch
-        publishes a pinned, versioned snapshot of the live embedding into
-        the store (thinned by ``publish_every``), and the store rides out
+        (the initial corpus is epoch -1, event *k* is epoch *k*) publishes
+        a pinned, versioned snapshot of the live embedding into the store
+        as soon as its last chunk has trained, not when the next event
+        arrives (thinned by ``publish_every``), and the store rides out
         on ``extras["training_result"].store``.
 
     The pipeline telemetry (snapshots consumed, per-snapshot stalls,

@@ -553,16 +553,28 @@ class ParallelWalkGenerator:
         return np.random.SeedSequence([self.seed, _STARTS_NS])
 
     def _job_stream(self, tasks: Iterable[WalkTask]) -> Iterator[tuple]:
-        """``(chunk_starts, global_walk_offset, epoch, graph, sid)``
-        work items, in deterministic order.  The global offset runs across
-        every task, so walk seeds never depend on task or chunk boundaries;
-        chunks never span tasks (each chunk walks exactly one snapshot).
-        ``sid`` is the task's snapshot id (``None`` for base-graph tasks) —
+        """``(chunk_starts, global_walk_offset, epoch, graph, sid,
+        task_done)`` work items, in deterministic order.  The global offset
+        runs across every task, so walk seeds never depend on task or chunk
+        boundaries; chunks never span tasks (each chunk walks exactly one
+        snapshot), and ``task_done`` marks a task's last chunk.  ``sid`` is
+        the task's snapshot id (``None`` for base-graph tasks) —
         monotonically increasing in submission order, which is what the
-        publish-once snapshot transport's retire/evict protocol rests on."""
+        publish-once snapshot transport's retire/evict protocol rests on.
+
+        Task epochs must strictly increase: a task whose epoch is not above
+        its predecessor's raises ``ValueError`` when it is pulled, before
+        any of its chunks walks."""
         lo = 0
         sid = 0
+        prev_epoch: int | None = None
         for task in tasks:
+            if prev_epoch is not None and task.epoch <= prev_epoch:
+                raise ValueError(
+                    f"task epochs must strictly increase: a task of epoch "
+                    f"{task.epoch} follows one of epoch {prev_epoch}"
+                )
+            prev_epoch = task.epoch
             if task.graph is not None and task.graph.n_nodes != self.graph.n_nodes:
                 raise ValueError(
                     f"task snapshot has {task.graph.n_nodes} nodes but the "
@@ -581,6 +593,7 @@ class ParallelWalkGenerator:
                     task.epoch,
                     task.graph,
                     task_sid,
+                    off + self.chunk_size >= starts.shape[0],
                 )
             lo += starts.shape[0]
 
@@ -598,10 +611,11 @@ class ParallelWalkGenerator:
 
     def stream_timed(
         self, tasks: Iterable[WalkTask] | None = None
-    ) -> Iterator[tuple[list[np.ndarray], float, int]]:
-        """Yield ``(walk_chunk, generation_seconds, snapshot_epoch)`` in
-        deterministic chunk order, keeping at most ``prefetch`` chunks in
-        flight.
+    ) -> Iterator[tuple[list[np.ndarray], float, int, bool]]:
+        """Yield ``(walk_chunk, generation_seconds, snapshot_epoch,
+        task_done)`` in deterministic chunk order, keeping at most
+        ``prefetch`` chunks in flight; ``task_done`` is true for the last
+        chunk of its task.
 
         ``tasks`` is any (possibly lazy) iterable of
         :class:`~repro.parallel.tasks.WalkTask`; ``None`` means the single
@@ -690,7 +704,7 @@ class ParallelWalkGenerator:
                 job = next(job_iter, None)
                 if job is None:
                     return
-                chunk_starts, lo, _epoch, task_graph, sid = job
+                chunk_starts, lo, _epoch, task_graph, sid, _done = job
                 stats.on_submit(len(chunk_starts))
                 # read at call time, so tests can move every chunk to the pool
                 if (
@@ -724,7 +738,7 @@ class ParallelWalkGenerator:
                 if not pending:
                     return
                 job, slot, fut = pending.popleft()
-                chunk_starts, lo, epoch, task_graph, sid = job
+                chunk_starts, lo, epoch, task_graph, sid, task_done = job
                 if fut is None:
                     batch, gen_s = _run_chunk(
                         task_graph if task_graph is not None else self.graph,
@@ -757,7 +771,7 @@ class ParallelWalkGenerator:
                     # workers keep walking while this chunk trains; behind
                     # an inline chunk nothing was pulled, and nothing is yet
                     _pull()
-                yield walks, gen_s, epoch
+                yield walks, gen_s, epoch, task_done
                 # consumer is done with the slot's views: recycle, and drop
                 # our own frame's view ref so the ring can unmap cleanly at
                 # shutdown
@@ -782,7 +796,7 @@ class ParallelWalkGenerator:
         Shm-transport chunks are views with the same lifetime contract as
         :meth:`stream_timed`."""
         tasks = None if starts is None else [WalkTask(starts=starts)]
-        for walks, _, _ in self.stream_timed(tasks):
+        for walks, *_ in self.stream_timed(tasks):
             yield walks
 
     def all_walks(self, starts: np.ndarray | None = None) -> list[np.ndarray]:
@@ -899,9 +913,13 @@ def train_parallel(
     :data:`repro.store.STORE_REGISTRY` name or a live
     :class:`~repro.store.base.EmbeddingStore` and the pipeline publishes
     versioned epoch snapshots into it as training proceeds — one version
-    per training epoch on the static path, one per task-epoch transition
-    on the dynamic path (thinned by ``publish_every``; the final epoch
-    always publishes).  Publishes read the model through its zero-copy
+    per training epoch on the static path, one per task epoch on the
+    dynamic path, published when its last chunk has trained (thinned by
+    ``publish_every``; the final epoch always publishes).  Task epochs
+    must strictly increase (:class:`~repro.parallel.tasks.WalkTask`): a
+    task whose epoch is not above the previous task's raises
+    ``ValueError`` before it trains or publishes.  Publishes read the
+    model through its zero-copy
     :meth:`~repro.embedding.base.EmbeddingModel.embedding_view` and write
     only the shards that changed, so a live run ships no full-table
     copies (``telemetry.store_full_copies`` pins this; the per-publish
@@ -1007,11 +1025,11 @@ def train_parallel(
     seen_epochs: set[int] = set()
     consumed = 0  # global walk counter pinning the virtual-chunk schedule
 
-    def _chunks(gen: ParallelWalkGenerator) -> Iterator[tuple[list, int]]:
+    def _chunks(gen: ParallelWalkGenerator) -> Iterator[tuple[list, int, bool]]:
         """Drain one generation pass over the run's walk tasks, yielding
-        ``(walks, task_epoch)`` and folding stall/generation times, the
-        chunk count, snapshot accounting, transport and the buffering
-        high-water mark into the telemetry.
+        ``(walks, task_epoch, task_done)`` and folding stall/generation
+        times, the chunk count, snapshot accounting, transport and the
+        buffering high-water mark into the telemetry.
 
         Snapshot-stall attribution is per *pass* (a two_pass training pass
         re-crosses every snapshot boundary its counting pass already saw
@@ -1020,7 +1038,7 @@ def train_parallel(
         pass_seen: set[int] = set()
         t_wait = time.perf_counter()
         stream = tasks() if callable(tasks) else tasks  # None: the static corpus
-        for walks, gen_s, epoch in gen.stream_timed(stream):
+        for walks, gen_s, epoch, task_done in gen.stream_timed(stream):
             stalled = time.perf_counter() - t_wait
             tele.wait_s += stalled
             if epoch not in pass_seen:
@@ -1030,7 +1048,7 @@ def train_parallel(
                 tele.n_snapshots = len(seen_epochs)
             tele.generation_s += gen_s
             tele.n_chunks += 1
-            yield walks, epoch
+            yield walks, epoch, task_done
             t_wait = time.perf_counter()
         stats = gen.last_stats
         tele.peak_buffered_walks = max(tele.peak_buffered_walks, stats.peak_in_flight)
@@ -1063,16 +1081,24 @@ def train_parallel(
                     walk_frequencies(seg, graph.n_nodes), len(seg)
                 )
 
+    published: int | None = None  # the version the store last received
+
     def _end_version(version: int, last: bool) -> None:
         """Close model version ``version`` — a training epoch on the static
         path, a task epoch on a task stream.  It publishes into the store
         when ``(version + 1) % publish_every == 0``, and always when it is
-        the run's last version.  Zero-copy: the table is read through
-        ``embedding_view`` and only changed shards are written; a model
-        without a view falls back to ``.embedding`` and the copy is
-        counted in the telemetry."""
-        if emb_store is None or not (last or (version + 1) % publish_every == 0):
+        the run's last version, unless that version is already published.
+        Zero-copy: the table is read through ``embedding_view`` and only
+        changed shards are written; a model without a view falls back to
+        ``.embedding`` and the copy is counted in the telemetry."""
+        nonlocal published
+        if (
+            emb_store is None
+            or version == published
+            or not (last or (version + 1) % publish_every == 0)
+        ):
             return
+        published = version
         t0 = time.perf_counter()
         view = mdl.embedding_view()
         full = view is None
@@ -1084,7 +1110,6 @@ def train_parallel(
         tele.store_publish_bytes += stats.bytes_written
         tele.store_full_copies += stats.full_table_copies
 
-    task_epoch: int | None = None  # the task epoch in training (task streams)
     for epoch in range(epochs):
         cs = controller.next_chunk_size() if controller else int(chunk_size)
         tele.chunk_sizes.append(cs)
@@ -1101,7 +1126,7 @@ def train_parallel(
         kept: list | None = [] if bootstrap == "buffer" else None
         if bootstrap is not None:
             gen = _generator(epoch, cs)
-            for walks, _ in _chunks(gen):
+            for walks, _, _ in _chunks(gen):
                 if kept is not None:
                     shm = gen.effective_transport == "shm"
                     kept.extend(w.copy() if shm else w for w in walks)
@@ -1112,15 +1137,13 @@ def train_parallel(
             tele.peak_buffered_walks = max(tele.peak_buffered_walks, len(kept))
             _train(kept)
         else:
-            for walks, chunk_epoch in _chunks(_generator(epoch, cs)):
-                # FIFO chunk order: the first chunk of a newer task epoch
-                # proves the previous one finished training, so that
-                # version closes before the new epoch's first update lands
-                if tasks is not None and (task_epoch is None or chunk_epoch > task_epoch):
-                    if task_epoch is not None:
-                        _end_version(task_epoch, last=False)
-                    task_epoch = chunk_epoch
+            for walks, task_epoch, task_done in _chunks(_generator(epoch, cs)):
                 _train(walks)
+                # a task's last chunk (source fold included) has trained;
+                # epochs strictly increase, so its epoch is complete and
+                # closes now, not when the next task's first chunk arrives
+                if tasks is not None and task_done:
+                    _end_version(task_epoch, last=False)
 
         if tasks is None:
             _end_version(epoch, last=epoch == epochs - 1)
@@ -1138,8 +1161,9 @@ def train_parallel(
                 )
             )
 
-    # a task stream's last epoch has no successor to close it (and a
-    # buffered run trains every epoch at once, so this is its only publish)
+    # the last task epoch always publishes: a no-op when its own close
+    # already did; a buffered run trains every epoch at once, so this is
+    # its only publish
     if tasks is not None and seen_epochs:
         _end_version(max(seen_epochs), last=True)
 

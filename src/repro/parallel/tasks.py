@@ -33,8 +33,12 @@ class WalkTask:
         so a task may be any size, and walk seeds stay pinned to the
         *global* walk index across the whole task stream.
     epoch:
-        snapshot epoch tag (e.g. the edge-event step).  Consecutive tasks
-        with distinct epochs mark snapshot boundaries in the telemetry
+        snapshot epoch tag (e.g. the edge-event step).  A task stream's
+        epochs strictly increase: each task's epoch must be above its
+        predecessor's, and the engine raises ``ValueError`` on one that is
+        not.  So a task's last chunk completes its epoch, which is when
+        :func:`~repro.parallel.train_parallel` closes (and publishes) it.
+        Each epoch counts as one snapshot in the telemetry
         (``n_snapshots``, ``snapshot_stall_s``).
     graph:
         the snapshot to walk on, or ``None`` for the engine's base graph.

@@ -102,8 +102,10 @@ class TestParallelWalkGenerator:
             graph, WalkParams(length=8, walks_per_node=1), chunk_size=10, seed=0
         )
         timed = list(gen.stream_timed())
-        assert sum(len(c) for c, _, _ in timed) == graph.n_nodes
-        assert all(dt > 0 for _, dt, _ in timed)
+        assert sum(len(c) for c, *_ in timed) == graph.n_nodes
+        assert all(dt > 0 for _, dt, *_ in timed)
+        # the corpus is one task: only its final chunk closes it
+        assert [done for *_, done in timed] == [False] * (len(timed) - 1) + [True]
 
 
 class TestTrainParallel:
@@ -186,7 +188,8 @@ g = ring_of_cliques(4, 8, seed=0)
 kw = dict(n_workers=2, chunk_size=8)
 if MIXED:
     kw = dict(n_workers=2, chunk_size=128, tasks=[
-        WalkTask(starts=np.arange(4)), WalkTask(starts=np.arange(128) % g.n_nodes),
+        WalkTask(starts=np.arange(4)),
+        WalkTask(starts=np.arange(128) % g.n_nodes, epoch=1),
     ])
 shm_before = set(os.listdir("/dev/shm"))
 out = {}

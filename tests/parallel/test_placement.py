@@ -5,6 +5,7 @@ and must not start a pool that no chunk needs."""
 
 import multiprocessing.context
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,17 +30,18 @@ def graph():
 
 def mixed_tasks(graph, n_events=12):
     """A replay of one-edge events (4-walk tasks, each carrying its
-    snapshot and delta) with a corpus-sized task on the live snapshot after
-    every fourth event: 96 walks, i.e. a pooled 64-walk chunk and an inline
-    32-walk one under the rule."""
+    snapshot) with a corpus-sized task on the live snapshot after every
+    fourth event: 96 walks, i.e. a pooled 64-walk chunk and an inline
+    32-walk one under the rule.  Task epochs strictly increase, so event
+    ``k`` is renumbered ``2k`` and a corpus task after it takes ``2k + 1``."""
     split = forest_split(graph, seed=0)
     dyn = DynamicGraph(graph.n_nodes, initial=split.initial)
     events = edge_stream(split.removed_edges, max_events=n_events)
     for task in dyn.walk_tasks(events, walks_per_endpoint=2):
-        yield task
+        yield replace(task, epoch=2 * task.epoch)
         if task.epoch % 4 == 3:
             starts = np.tile(np.arange(graph.n_nodes), 3)
-            yield WalkTask(starts=starts, epoch=task.epoch, graph=task.graph)
+            yield WalkTask(starts=starts, epoch=2 * task.epoch + 1, graph=task.graph)
 
 
 def _train(graph, source, n_workers):
@@ -89,7 +91,9 @@ class TestNoLookAhead:
         pulled: list = []
         gen = ParallelWalkGenerator(graph, WalkParams(length=20), n_workers=2, seed=1)
         consumed = 0
-        for _walks, _gen_s, epoch in gen.stream_timed(small_tasks(graph, 10, pulled)):
+        for _walks, _gen_s, epoch, _done in gen.stream_timed(
+            small_tasks(graph, 10, pulled)
+        ):
             consumed += 1
             # the chunk in hand is the newest task drawn
             assert epoch == consumed - 1

@@ -533,10 +533,10 @@ class TestTaskStreams:
         walks: seeding is by global walk index, not per task."""
         starts = np.arange(16) % graph.n_nodes
         gen = ParallelWalkGenerator(graph, WalkParams(length=8), seed=5, chunk_size=4)
-        one = [w for c, _, _ in gen.stream_timed([WalkTask(starts=starts)]) for w in c]
+        one = [w for c, *_ in gen.stream_timed([WalkTask(starts=starts)]) for w in c]
         split = [
             w
-            for c, _, _ in gen.stream_timed(
+            for c, *_ in gen.stream_timed(
                 [WalkTask(starts=starts[:8]), WalkTask(starts=starts[8:], epoch=1)]
             )
             for w in c

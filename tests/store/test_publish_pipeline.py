@@ -194,3 +194,97 @@ class TestPublishSchedule:
             )
         finally:
             store.close()
+
+
+def _recording(store, tasks, seen):
+    """Yield ``tasks``, appending ``store.latest_epoch`` to ``seen`` each
+    time the pipeline asks for a task (including the ask past the end)."""
+    for task in tasks:
+        seen.append(store.latest_epoch)
+        yield task
+    seen.append(store.latest_epoch)
+
+
+class TestPublishPoint:
+    """A task epoch publishes as soon as the task's last chunk has trained:
+    an inline stream never waits for the next task to close an epoch."""
+
+    @pytest.mark.parametrize("source", ["degree", "decayed"])
+    def test_epoch_published_before_next_task_is_requested(self, graph, source):
+        store = make_store("local", graph.n_nodes, 8, retain=8)
+        seen: list = []
+        try:
+            train_parallel(
+                graph, dim=8, hyper=HP, seed=0, negative_source=source,
+                store=store, tasks=_recording(store, _task_stream(graph)(), seen),
+            )
+            assert seen == [None, 0, 1, 2, 3, 4]
+            assert store.epochs() == (0, 1, 2, 3, 4)
+        finally:
+            store.close()
+
+    def test_split_task_publishes_once_after_its_last_chunk(self, graph):
+        """Three 6-walk tasks in 4-walk chunks: each epoch publishes once,
+        and what it publishes is the table after both of its chunks — the
+        final table of a run over the stream's prefix up to that task."""
+
+        def tasks(n):
+            return [
+                WalkTask(starts=np.arange(6 * e, 6 * e + 6) % graph.n_nodes, epoch=e)
+                for e in range(n)
+            ]
+
+        run = dict(dim=8, hyper=HP, seed=0, negative_source="degree", chunk_size=4)
+        store = make_store("local", graph.n_nodes, 8, retain=8)
+        seen: list = []
+        try:
+            res = train_parallel(
+                graph, store=store, tasks=_recording(store, tasks(3), seen), **run
+            )
+            assert res.telemetry.n_chunks == 6
+            assert res.telemetry.store_publishes == 3
+            assert store.epochs() == (0, 1, 2)
+            assert seen == [None, 0, 1, 2]
+            for e in range(3):
+                prefix = train_parallel(graph, tasks=tasks(e + 1), **run)
+                assert np.array_equal(
+                    store.get(np.arange(graph.n_nodes), epoch=e), prefix.embedding
+                )
+        finally:
+            store.close()
+
+
+class TestEpochContract:
+    """A task stream's epochs strictly increase; a task whose epoch repeats
+    or goes back is rejected before it trains or publishes."""
+
+    @pytest.mark.parametrize("epochs", [(0, 0), (1, 0)])
+    @pytest.mark.parametrize("placement", ["inline", "pooled"])
+    def test_non_increasing_epoch_rejected(self, graph, epochs, placement, request):
+        if placement == "pooled":
+            request.getfixturevalue("pooled")
+        first, second = epochs
+        stream = [
+            WalkTask(starts=np.arange(3), epoch=first),
+            WalkTask(starts=np.arange(3, 6), epoch=second),
+        ]
+        run = dict(dim=8, hyper=HP, seed=0, negative_source="degree", n_workers=2)
+        store = make_store("local", graph.n_nodes, 8, retain=8)
+        try:
+            with pytest.raises(ValueError, match="task epochs must strictly increase") as err:
+                train_parallel(graph, store=store, tasks=stream, **run)
+            assert f"epoch {second} follows one of epoch {first}" in str(err.value)
+            if placement == "inline":
+                # the first task trained and published before the second
+                # was pulled; the second added nothing to that version
+                assert store.epochs() == (first,)
+                alone = train_parallel(graph, tasks=stream[:1], **run)
+                assert np.array_equal(
+                    store.get(np.arange(graph.n_nodes), epoch=first), alone.embedding
+                )
+            else:
+                # the pool's prefetch pulled the second task before the
+                # first one's chunk was handed over: nothing trained
+                assert store.epochs() == ()
+        finally:
+            store.close()
