@@ -1,6 +1,6 @@
 """Dynamic-stream benches: the incremental CSR delta engine on a
 high-rate replay, and the online "decayed" source vs the frozen
-"two_pass" source on the concept-drift scenario.
+"corpus" source on the concept-drift scenario.
 
 ``test_dynamic_stream_delta`` replays a config-model (degree-corrected
 SBM) burst at ``edges_per_event=1`` and CI-gates the **event rate**:
@@ -23,12 +23,12 @@ phases of :func:`repro.dynamic.run_drift_scenario` run through the
 streaming pipeline (2 walk workers), so the comparison isolates the
 negative-source layer:
 
-* **two_pass** — paper-exact frozen sampler; pays a full counting pass per
-  phase (double generation) and never adapts after it;
+* **corpus** — paper-exact frozen sampler; buffers each phase's corpus
+  while it counts it (no overlap in that pass) and never adapts after it;
 * **decayed** — degree bootstrap + exponentially-decayed streaming
   frequency folds with an alias rebuild every K virtual chunks; pays the
   per-chunk ``walk_frequencies`` + periodic O(n) rebuilds instead of a
-  counting pass, and keeps tracking the post-drift visit distribution.
+  buffered pass, and keeps tracking the post-drift visit distribution.
 
 Reported per variant: accuracy trajectory (micro-F1 before / right after
 the rewire / recovered), recovery fraction, total wall-clock, stall
@@ -199,7 +199,7 @@ def test_dynamic_stream_delta(benchmark, emit_report, profile, monkeypatch):
     assert event["per_walk_vs_lockstep"] >= 1.0, event
 
 VARIANTS = (
-    ("two_pass (frozen)", "two_pass"),
+    ("corpus (frozen)", "corpus"),
     (
         "decayed (online)",
         DecayedSource(decay=0.95, rebuild_every=2, virtual_chunk=128),
@@ -216,7 +216,7 @@ def test_dynamic_stream_drift(benchmark, emit_report, profile):
         report = ExperimentReport(
             name="Dynamic stream",
             title=(
-                "decayed vs two_pass negative source on the drift scenario "
+                "decayed vs corpus negative source on the drift scenario "
                 f"({graph.n_nodes} nodes, {N_WORKERS} workers)"
             ),
             columns=[
@@ -252,8 +252,8 @@ def test_dynamic_stream_drift(benchmark, emit_report, profile):
                 "n_chunks": sum(t.n_chunks for t in phases),
             }
         report.add_note(
-            "two_pass streams each corpus twice (counting + training) for a "
-            "frozen paper-exact sampler; decayed streams once and folds "
+            "corpus buffers each phase's walks while it counts them, for a "
+            "frozen paper-exact sampler; decayed streams and folds "
             "frequencies online (rebuild every 2 virtual chunks of 128 walks)"
         )
         report.add_note(
@@ -265,7 +265,7 @@ def test_dynamic_stream_drift(benchmark, emit_report, profile):
     report = benchmark.pedantic(run, rounds=1, iterations=1)
     emit_report(report)
 
-    frozen = report.data["two_pass (frozen)"]
+    frozen = report.data["corpus (frozen)"]
     online = report.data["decayed (online)"]
     for label, cell in report.data.items():
         res = cell["result"]
@@ -275,5 +275,3 @@ def test_dynamic_stream_drift(benchmark, emit_report, profile):
     # the rebuild ledger: online folds fire, the frozen sampler never does
     assert online["sampler_rebuilds"] > 0
     assert frozen["sampler_rebuilds"] == 0
-    # two_pass pays its double generation in consumed chunks (counting pass)
-    assert frozen["n_chunks"] > online["n_chunks"]

@@ -12,11 +12,10 @@ Knobs demonstrated below:
 * ``n_workers`` — 0/1 inline, ≥2 a fork pool;
 * ``negative_source`` — ``"corpus"`` (paper-exact, buffers the first epoch),
   ``"degree"`` (streams from the first chunk, bounded memory),
-  ``"two_pass"`` (paper-exact and bounded, double generation cost),
   ``"decayed"`` (online: decayed streaming frequencies + periodic alias
   rebuilds — see examples/dynamic_streaming.py for its home turf);
 * ``prefetch`` / ``chunk_size`` — depth and granularity of the pipeline
-  (``chunk_size="auto"`` lets telemetry rebalance it between epochs);
+  (start nodes per chunk, an int);
 * ``transport`` — ``"shm"`` (zero-copy shared-memory ring) vs ``"pickle"``
   (serialized through the pool result pipe);
 * ``exec_backend`` — ``"reference"`` (the bit-exact per-walk loop) vs
@@ -66,7 +65,7 @@ def main() -> None:
         print(f"walk corpus ({label:10s}): {len(walks)} walks in {dt:.2f}s")
 
     # -- streaming pipeline: negative_source trade-offs ----------------- #
-    for source in ("corpus", "degree", "two_pass", "decayed"):
+    for source in ("corpus", "degree", "decayed"):
         res = train_parallel(
             graph, dim=32, hyper=hyper, n_workers=4, chunk_size=128,
             negative_source=source, seed=7,
@@ -118,10 +117,11 @@ def main() -> None:
 
     # -- determinism across worker counts, transports, chunk sizes ------ #
     a = train_parallel(
-        graph, dim=32, hyper=hyper, n_workers=0, negative_source="degree", seed=7
+        graph, dim=32, hyper=hyper, n_workers=0, chunk_size=256,
+        negative_source="degree", seed=7,
     )
     b = train_parallel(
-        graph, dim=32, hyper=hyper, n_workers=4, chunk_size="auto",
+        graph, dim=32, hyper=hyper, n_workers=4, chunk_size=64,
         transport="shm", negative_source="degree", seed=7,
     )
     print(f"embedding identical across workers/transport/chunking: "

@@ -80,7 +80,7 @@ def train_embedding(
     negative_source: str | NegativeSource | None = None,
     negative_power: float | None = None,
     transport: str | None = None,
-    chunk_size: int | str | None = None,
+    chunk_size: int | None = None,
     prefetch: int | None = None,
     exec_backend: str | None = None,
     store: str | EmbeddingStore | None = None,
@@ -128,7 +128,8 @@ def train_embedding(
 
 {sources}
 
-        Setting it implies the pipelined path even when ``n_workers`` is None.
+        ``"corpus"`` is the paper's construction (§3.1): the negative table
+        comes from the whole first-epoch corpus.  Setting it implies the pipelined path even when ``n_workers`` is None.
     negative_power:
         smoothing exponent on the negative-sampling frequencies (word2vec
         default 0.75).
@@ -138,13 +139,13 @@ def train_embedding(
         Setting it implies the pipelined path even when ``n_workers`` is
         None.
     chunk_size:
-        pipeline-only knob: start nodes per work item (int), or ``"auto"``
-        to let telemetry rebalance it between epochs.  Chunking never
-        changes the *walks* (seeded by global walk index) and — under a
-        chunk-invariant backend like ``"reference"`` — never the trained
-        embedding either.  ``"blocked"`` pins the embedding to the chunk
-        schedule, so ``chunk_size="auto"`` (a timing-driven schedule) is
-        rejected with it.  Setting it implies the pipelined path.
+        pipeline-only knob: start nodes per work item, an int (default
+        :data:`repro.parallel.DEFAULT_CHUNK_SIZE`).  Chunking never changes
+        the *walks* (seeded by global walk index) and, under
+        ``"reference"``, never the trained embedding either;
+        ``"blocked"`` draws one bulk negative batch per chunk, so its
+        embedding is pinned to the chunk size.  Setting it implies the
+        pipelined path.
     exec_backend:
         chunk-execution kernel (:mod:`repro.embedding.kernels`), valid on
         both the sequential and pipelined paths:

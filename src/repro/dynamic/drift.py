@@ -93,7 +93,7 @@ def run_drift_scenario(
     drift_fraction: float = 0.2,
     seed=None,
     n_workers: int = 0,
-    chunk_size: int | str | None = None,
+    chunk_size: int | None = None,
     prefetch: int | None = None,
     transport: str = "shm",
     negative_source="corpus",

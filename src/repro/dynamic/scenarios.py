@@ -201,8 +201,8 @@ def run_seq_scenario(
     state: dict = {"n_events": 0}
 
     def replay_tasks():
-        """The lazy task stream; a fresh, identically-seeded replay per
-        call so ``"two_pass"`` can stream it twice."""
+        """The lazy task stream: the optional initial corpus task, then one
+        task per replayed event."""
         dyn = DynamicGraph(graph.n_nodes, initial=split.initial)
         state["dyn"] = dyn
         if initial_training:
@@ -238,7 +238,7 @@ def run_seq_scenario(
         exec_backend=exec_backend,
         store=store,
         publish_every=publish_every,
-        tasks=replay_tasks,
+        tasks=replay_tasks(),
         seed=train_seed,
         **{name: value for name, value in knobs.items() if value is not None},
         **(model_kwargs or {}),

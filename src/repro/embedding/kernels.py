@@ -338,13 +338,6 @@ class ExecBackend:
     #: exact memory profile); the blocked backend trades a bounded block for
     #: vectorization width.
     block_walks: int = 1
-    #: whether results are invariant to how a corpus is split into
-    #: ``train_chunk`` calls.  The reference backend draws per walk, so any
-    #: chunking yields the same stream; the blocked backend draws one bulk
-    #: pass per call, pinning results to the chunk schedule — which is why
-    #: the pipeline refuses ``chunk_size="auto"`` (a timing-driven,
-    #: worker-dependent schedule) for non-invariant backends.
-    chunk_invariant: bool = True
     #: whether this backend can execute model-owned deferral spans that
     #: cross walk boundaries (:class:`~repro.embedding.batch_rls.BatchRLSSkipGram`
     #: with a cross-walk ``defer_span``).  Walk-feeding backends
@@ -785,7 +778,6 @@ class BlockedKernel(ExecBackend):
         "RLS recursion (sequential gains, one scatter pass per block) and "
         "walk-batched SGD (documented O(mu^2*k) / O(lr^2) drift vs reference)"
     )
-    chunk_invariant = False  # one bulk draw per block (module docstring)
     #: bulk-draw/staging width: big enough that the draw and the kernel
     #: dispatch amortize (pipeline chunks are typically ≤ this, so one
     #: block == one chunk), small enough that a whole-corpus call — the

@@ -2,14 +2,8 @@
 transport and the streaming pipelined training loop mirroring the board's
 PS/PL overlap."""
 
-from repro.parallel.chunking import (
-    DEFAULT_CHUNK_SIZE,
-    MAX_CHUNK_SIZE,
-    MIN_CHUNK_SIZE,
-    AdaptiveChunkController,
-    EpochStats,
-)
 from repro.parallel.pipeline import (
+    DEFAULT_CHUNK_SIZE,
     NEGATIVE_SOURCES,
     TRANSPORTS,
     ParallelWalkGenerator,
@@ -22,11 +16,7 @@ from repro.parallel.snapshots import SnapshotStore
 from repro.parallel.tasks import WalkTask
 
 __all__ = [
-    "AdaptiveChunkController",
     "DEFAULT_CHUNK_SIZE",
-    "EpochStats",
-    "MAX_CHUNK_SIZE",
-    "MIN_CHUNK_SIZE",
     "NEGATIVE_SOURCES",
     "ParallelWalkGenerator",
     "PipelineTelemetry",

@@ -83,11 +83,10 @@ Chunk sizing (``chunk_size``)
 Walk streams are seeded by **global walk index** (walk *j* always draws from
 ``SeedSequence([seed, 0, j])`` no matter which chunk or task carries it), so
 the corpus — and the trained embedding — is invariant to how the start list
-is partitioned into chunks.  That makes chunk size a pure performance knob:
-pass an int to fix it, or ``chunk_size="auto"`` to let an
-:class:`~repro.parallel.chunking.AdaptiveChunkController` rebalance the
-stall-vs-IPC-overhead trade-off between epochs from the measured telemetry
-(static corpus path only — a task stream's length is unknown up front).
+is partitioned into chunks.  That makes chunk size (an int, default
+:data:`DEFAULT_CHUNK_SIZE`) a pure performance knob under the
+``"reference"`` backend; ``"blocked"`` draws one bulk negative batch per
+chunk, so its result is pinned to the chunk size.
 
 Negative-sampling sources (``negative_source``)
 -----------------------------------------------
@@ -96,10 +95,10 @@ walk corpus (§3.1), which fundamentally conflicts with streaming: you cannot
 know the final frequencies before the last walk exists.  The strategies for
 closing that gap live in :mod:`repro.sampling.sources` as first-class
 :class:`~repro.sampling.sources.NegativeSource` objects — ``"corpus"``
-(paper-exact, buffers the first epoch), ``"degree"`` (streams immediately),
-``"two_pass"`` (paper-exact and memory-bounded, double generation), and the
-online ``"decayed"`` (degree bootstrap + exponentially-decayed streaming
-frequencies with periodic alias rebuilds, built for dynamic-graph replays).
+(paper-exact, buffers the first epoch), ``"degree"`` (streams immediately)
+and the online ``"decayed"`` (degree bootstrap + exponentially-decayed
+streaming frequencies with periodic alias rebuilds, built for dynamic-graph
+replays).
 ``negative_source`` accepts a registry name or a pre-constructed instance
 (e.g. ``DecayedSource(decay=0.9, rebuild_every=8)``); the valid names are
 rendered from :data:`repro.sampling.sources.SOURCE_REGISTRY`.
@@ -108,8 +107,7 @@ Determinism: walk *j* derives its stream from (base seed, walk namespace,
 global walk index *j*), the start list from a disjoint (base seed, starts
 namespace) stream, and results are consumed in order — so the trained
 embedding is **bit-identical for any worker count, prefetch depth, chunk
-size (fixed or "auto"), transport and chunk placement** under every
-``negative_source``.
+size, transport and chunk placement** under every ``negative_source``.
 For ``"decayed"`` the sampler state additionally depends on the canonical
 *virtual* chunk schedule, so its bit-identity contract is relaxed to runs
 with the same ``virtual_chunk`` — still independent of worker count,
@@ -122,21 +120,15 @@ import multiprocessing as mp
 import os
 import time
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro.embedding.base import EmbeddingModel
-from repro.embedding.kernels import resolve_backend
 from repro.embedding.trainer import TrainingResult, WalkTrainer, make_model
 from repro.graph.csr import CSRGraph
-from repro.parallel.chunking import (
-    DEFAULT_CHUNK_SIZE,
-    AdaptiveChunkController,
-    EpochStats,
-)
 from repro.parallel.shm_ring import ShmWalkRing
 from repro.parallel.snapshots import SnapshotStore, resolve_snapshot_ref
 from repro.parallel.tasks import WalkTask
@@ -151,6 +143,7 @@ if TYPE_CHECKING:  # annotation-only: the experiments layer stays lazy
     from repro.experiments.hyper import Node2VecParams
 
 __all__ = [
+    "DEFAULT_CHUNK_SIZE",
     "NEGATIVE_SOURCES",
     "POOL_MIN_WALK_STEPS",
     "TRANSPORTS",
@@ -163,6 +156,9 @@ __all__ = [
 
 #: Valid ``transport`` settings (see module docstring).
 TRANSPORTS = ("shm", "pickle")
+
+#: Start nodes per chunk when ``chunk_size`` is not given.
+DEFAULT_CHUNK_SIZE = 256
 
 #: Smallest chunk, in walk-steps (walks × walk length), that walks in the
 #: worker pool; smaller chunks walk in the consumer.  A pooled chunk pays a
@@ -354,13 +350,9 @@ class PipelineTelemetry:
     of them when ``n_workers <= 1``, else those under
     :data:`POOL_MIN_WALK_STEPS` walk-steps); ``ipc_walk_bytes`` the walk
     payload bytes that crossed the pickle channel (each chunk's padded
-    ``WalkBatch``: rows plus lengths); ``chunk_sizes`` the per-epoch chunk
-    size (one entry per epoch — informative under ``chunk_size="auto"``).
-
-    ``n_chunks`` counts every chunk *consumed*, so per-chunk averages like
-    ``generation_s / n_chunks`` stay meaningful for every source — for
-    ``"two_pass"`` that includes the counting pass (≈ 2× the trained
-    chunks, matching its doubled generation cost).
+    ``WalkBatch``: rows plus lengths).  ``n_chunks`` counts every chunk
+    consumed, so ``generation_s / n_chunks`` is the mean walk time of a
+    chunk.
 
     Task-stream accounting: ``n_snapshots`` counts the distinct graph
     snapshot epochs consumed (1 for static corpus runs); ``snapshot_stall_s``
@@ -413,7 +405,6 @@ class PipelineTelemetry:
     transport: str = ""
     inline_chunks: int = 0
     ipc_walk_bytes: int = 0
-    chunk_sizes: list[int] = field(default_factory=list)
     sampler_rebuilds: int = 0
     n_snapshots: int = 0
     snapshot_stall_s: float = 0.0
@@ -834,7 +825,7 @@ def train_parallel(
     hyper: Node2VecParams | None = None,
     epochs: int = 1,
     n_workers: int = 0,
-    chunk_size: int | str = DEFAULT_CHUNK_SIZE,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
     prefetch: int | None = None,
     transport: str = "shm",
     negative_source: str | NegativeSource = "corpus",
@@ -842,7 +833,7 @@ def train_parallel(
     exec_backend: str | None = None,
     store: Any | None = None,
     publish_every: int = 1,
-    tasks: Iterable[WalkTask] | Callable[[], Iterable[WalkTask]] | None = None,
+    tasks: Iterable[WalkTask] | None = None,
     seed: SeedLike = 0,
     **model_kwargs: Any,
 ) -> TrainingResult:
@@ -868,29 +859,22 @@ def train_parallel(
     :data:`repro.sampling.sources.SOURCE_REGISTRY` or a pre-constructed
     :class:`~repro.sampling.sources.NegativeSource` (see that module for
     the trade-offs).  ``"corpus"`` buffers the first epoch (paper-exact),
-    ``"two_pass"`` streams a counting pass first (paper-exact, bounded
-    memory), ``"degree"`` and ``"decayed"`` stream from the first chunk —
+    ``"degree"`` and ``"decayed"`` stream from the first chunk —
     ``"decayed"`` additionally folds each consumed virtual chunk's
     :func:`~repro.sampling.negative.walk_frequencies` into an
     exponentially-decayed count vector and rebuilds its alias table every
     K folds (counted in ``telemetry.sampler_rebuilds``).
 
-    ``tasks`` switches the engine from the static corpus to a stream of
-    :class:`~repro.parallel.tasks.WalkTask` items (the dynamic-graph
-    replay): pass an iterable, or a zero-argument callable returning one —
-    required for ``"two_pass"``, which must stream the tasks twice, and
-    handy whenever the stream is a lazy generator.  Task streams are
-    single-pass by nature, so ``epochs`` must be 1 and ``chunk_size="auto"``
-    is unavailable (the controller sizes itself from the corpus length).
+    ``tasks`` switches the engine from the static corpus to an iterable
+    (possibly a lazy generator) of :class:`~repro.parallel.tasks.WalkTask`
+    items, the dynamic-graph replay.  It is streamed once, so ``epochs``
+    must be 1.
 
-    ``chunk_size`` may be a fixed int or ``"auto"``, which lets an
-    :class:`~repro.parallel.chunking.AdaptiveChunkController` pick the
-    initial size from the workload shape and re-balance it between epochs
-    from the measured stall fraction.  Because walks are seeded by global
-    walk index, the result is bit-identical across ``n_workers``,
-    ``prefetch``, ``transport`` and ``chunk_size`` (fixed or ``"auto"``)
-    settings for every ``negative_source`` — and bit-identical to itself
-    run twice.  (``"decayed"`` keeps all of that but additionally pins its
+    ``chunk_size`` is the number of start nodes per chunk.  Because walks
+    are seeded by global walk index, the result is bit-identical across
+    ``n_workers``, ``prefetch``, ``transport`` and ``chunk_size`` settings
+    for every ``negative_source`` — and bit-identical to itself run
+    twice.  (``"decayed"`` keeps all of that but additionally pins its
     fold/rebuild schedule to its canonical ``virtual_chunk``, so only runs
     sharing that value agree.)  Seeds derive from the same 63-bit stream as
     the sequential trainer (:func:`repro.utils.rng.draw_seed`).
@@ -905,7 +889,7 @@ def train_parallel(
     its negative stream is pinned to the chunk schedule: results stay
     bit-identical across ``n_workers``, ``prefetch`` and ``transport``,
     but — like ``"decayed"``'s virtual-chunk contract — change with
-    ``chunk_size`` (which is also why it rejects ``chunk_size="auto"``).
+    ``chunk_size``.
     ``None`` follows the model's own :attr:`~repro.embedding.base.EmbeddingModel.exec_backend`
     preference (``"reference"`` unless a checkpoint says otherwise).
 
@@ -935,35 +919,15 @@ def train_parallel(
 
     check_positive("n_workers", n_workers, strict=False, integer=True)
     check_positive("epochs", epochs, integer=True)
+    check_positive("chunk_size", chunk_size, integer=True)
     check_in_set("transport", transport, TRANSPORTS)
     source = resolve_source(negative_source)
-    if tasks is not None:
-        if epochs != 1:
-            raise ValueError(
-                "a task stream is single-pass: epochs must be 1 when tasks is given"
-            )
-        if source.bootstrap_mode == "count" and not callable(tasks):
-            raise ValueError(
-                'negative_source="two_pass" must stream the tasks twice: pass a '
-                "zero-argument callable returning a fresh task iterable"
-            )
+    if tasks is not None and epochs != 1:
+        raise ValueError(
+            "a task stream is single-pass: epochs must be 1 when tasks is given"
+        )
     hp = hyper or Node2VecParams()
     rng = as_generator(seed)
-
-    controller: AdaptiveChunkController | None = None
-    if isinstance(chunk_size, str):
-        check_in_set("chunk_size", chunk_size, ("auto",))
-        if tasks is not None:
-            raise ValueError(
-                'chunk_size="auto" needs the static corpus path; task streams '
-                "have no known length to size against"
-            )
-        controller = AdaptiveChunkController(
-            n_walks=hp.walk_params().walks_per_node * graph.n_nodes,
-            n_workers=int(n_workers),
-        )
-    else:
-        check_positive("chunk_size", chunk_size, integer=True)
 
     if isinstance(model, str):
         mdl = make_model(model, graph.n_nodes, dim, seed=draw_seed(rng), **model_kwargs)
@@ -980,38 +944,25 @@ def train_parallel(
 
         emb_store = resolve_store(store, mdl.n_nodes, mdl.dim)
 
-    # Draw every seed up front, independent of negative_source, so that
-    # "corpus" and "two_pass" (same sampler distribution, same walk order)
-    # consume identical streams and stay bit-identical to each other.
+    # Draw every seed up front, independent of negative_source, so every
+    # source trains on the same walks.
     sampler_seed = draw_seed(rng)
     epoch_seeds = [draw_seed(rng) for _ in range(epochs)]
 
     source.configure(power=negative_power, seed=sampler_seed)
     source.bootstrap(graph)
 
-    def _generator(epoch: int, cs: int) -> ParallelWalkGenerator:
+    def _generator(epoch: int) -> ParallelWalkGenerator:
         return ParallelWalkGenerator(
             graph,
             hp.walk_params(),
             n_workers=n_workers,
-            chunk_size=cs,
+            chunk_size=chunk_size,
             seed=epoch_seeds[epoch],
             prefetch=prefetch,
             transport=transport,
         )
 
-    # validate the backend/chunking combination BEFORE WalkTrainer records
-    # the backend as the model preference — a rejected call must not leave
-    # a mutated (and checkpointable) preference on the caller's model
-    backend = resolve_backend(mdl.exec_backend if exec_backend is None else exec_backend)
-    if controller is not None and not backend.chunk_invariant:
-        raise ValueError(
-            f'exec_backend="{backend.name}" pins results to the chunk '
-            'schedule (one bulk negative draw per chunk), but chunk_size="auto" '
-            "derives its schedule from worker count and wall-clock timing — "
-            "the combination would make the embedding irreproducible.  Fix "
-            "chunk_size to an int, or use a chunk-invariant backend."
-        )
     trainer = WalkTrainer(mdl, window=hp.w, ns=hp.ns, exec_backend=exec_backend)
     tele = PipelineTelemetry(
         negative_source=source.name,
@@ -1026,25 +977,18 @@ def train_parallel(
     consumed = 0  # global walk counter pinning the virtual-chunk schedule
 
     def _chunks(gen: ParallelWalkGenerator) -> Iterator[tuple[list, int, bool]]:
-        """Drain one generation pass over the run's walk tasks, yielding
-        ``(walks, task_epoch, task_done)`` and folding stall/generation
-        times, the chunk count, snapshot accounting, transport and the
-        buffering high-water mark into the telemetry.
-
-        Snapshot-stall attribution is per *pass* (a two_pass training pass
-        re-crosses every snapshot boundary its counting pass already saw
-        and pays the turnover stall again); ``n_snapshots`` counts distinct
-        epochs across the whole run."""
-        pass_seen: set[int] = set()
+        """Drain one generation pass over the run's walk tasks (the static
+        corpus when ``tasks`` is None), yielding ``(walks, task_epoch,
+        task_done)`` and folding stall/generation times, the chunk count,
+        snapshot accounting, transport and the buffering high-water mark
+        into the telemetry."""
         t_wait = time.perf_counter()
-        stream = tasks() if callable(tasks) else tasks  # None: the static corpus
-        for walks, gen_s, epoch, task_done in gen.stream_timed(stream):
+        for walks, gen_s, epoch, task_done in gen.stream_timed(tasks):
             stalled = time.perf_counter() - t_wait
             tele.wait_s += stalled
-            if epoch not in pass_seen:
-                pass_seen.add(epoch)
-                tele.snapshot_stall_s += stalled
+            if epoch not in seen_epochs:
                 seen_epochs.add(epoch)
+                tele.snapshot_stall_s += stalled
                 tele.n_snapshots = len(seen_epochs)
             tele.generation_s += gen_s
             tele.n_chunks += 1
@@ -1111,33 +1055,22 @@ def train_parallel(
         tele.store_full_copies += stats.full_table_copies
 
     for epoch in range(epochs):
-        cs = controller.next_chunk_size() if controller else int(chunk_size)
-        tele.chunk_sizes.append(cs)
-        t_epoch = time.perf_counter()
-        before = (tele.n_chunks, tele.generation_s, tele.wait_s, tele.train_s)
-
-        # Bootstrap pass: observe the whole first epoch, then freeze the
-        # sampler.  "buffer" (corpus) keeps the walks and trains them in
-        # one call — the paper's exact first-epoch semantics; "count"
-        # (two_pass) discards them and regenerates the identical corpus
-        # (same seed) below.  Shm chunks are slot views that die on slot
-        # reuse, so kept walks must be materialized.
-        bootstrap = source.pending_bootstrap
-        kept: list | None = [] if bootstrap == "buffer" else None
-        if bootstrap is not None:
-            gen = _generator(epoch, cs)
+        if source.pending_bootstrap is not None:
+            # Buffer the whole first epoch while the source counts it, then
+            # freeze the sampler and train the kept walks in one call — the
+            # paper's exact first-epoch semantics.  Shm chunks are slot
+            # views that die on slot reuse, so kept walks are materialized.
+            gen = _generator(epoch)
+            kept: list = []
             for walks, _, _ in _chunks(gen):
-                if kept is not None:
-                    shm = gen.effective_transport == "shm"
-                    kept.extend(w.copy() if shm else w for w in walks)
+                shm = gen.effective_transport == "shm"
+                kept.extend(w.copy() if shm else w for w in walks)
                 source.observe(walk_frequencies(walks, graph.n_nodes), len(walks))
             source.finalize()
-
-        if kept is not None:
             tele.peak_buffered_walks = max(tele.peak_buffered_walks, len(kept))
             _train(kept)
         else:
-            for walks, task_epoch, task_done in _chunks(_generator(epoch, cs)):
+            for walks, task_epoch, task_done in _chunks(_generator(epoch)):
                 _train(walks)
                 # a task's last chunk (source fold included) has trained;
                 # epochs strictly increase, so its epoch is complete and
@@ -1147,19 +1080,6 @@ def train_parallel(
 
         if tasks is None:
             _end_version(epoch, last=epoch == epochs - 1)
-        # a bootstrap pass stalls by construction (no training runs behind
-        # it), so its epoch carries no chunk-size signal for the controller
-        if controller is not None and bootstrap is None:
-            controller.observe(
-                EpochStats(
-                    chunk_size=cs,
-                    n_chunks=tele.n_chunks - before[0],
-                    generation_s=tele.generation_s - before[1],
-                    wait_s=tele.wait_s - before[2],
-                    train_s=tele.train_s - before[3],
-                    elapsed_s=time.perf_counter() - t_epoch,
-                )
-            )
 
     # the last task epoch always publishes: a no-op when its own close
     # already did; a buffered run trains every epoch at once, so this is

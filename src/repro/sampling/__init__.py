@@ -17,7 +17,6 @@ from repro.sampling.sources import (
     DecayedSource,
     DegreeSource,
     NegativeSource,
-    TwoPassSource,
     make_source,
     resolve_source,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "NegativeSource",
     "CorpusSource",
     "DegreeSource",
-    "TwoPassSource",
     "DecayedSource",
     "make_source",
     "resolve_source",

@@ -25,9 +25,9 @@ __all__ = ["NegativeSampler", "walk_frequencies"]
 def walk_frequencies(walks, n_nodes: int) -> np.ndarray:
     """Count node appearances over a walk corpus ``RW`` (or one chunk of it).
 
-    One ``np.bincount`` over the concatenated corpus — this is hot on the
-    ``two_pass`` counting pass and per-chunk-hot for the ``"decayed"``
-    streaming source, where it runs on every virtual chunk.  Returns raw
+    One ``np.bincount`` over the concatenated corpus — it runs on every
+    chunk of the ``"corpus"`` bootstrap pass and on every virtual chunk of
+    the ``"decayed"`` streaming source.  Returns raw
     int64 counts (zeros included — the sample-ability floor is applied by
     :class:`NegativeSampler`, never here).  Ids ``>= n_nodes`` raise
     ``IndexError`` like the indexed-add implementation this replaced;

@@ -29,10 +29,9 @@ Two class attributes tell the pipeline how to schedule a source:
 
 ``bootstrap_mode``
     ``None`` — the sampler is ready right after :meth:`bootstrap` and
-    training streams immediately; ``"buffer"`` — the first pass must be
-    buffered and fed back after the counts are complete (the paper's exact
-    construction); ``"count"`` — a dedicated counting pass must stream the
-    corpus once before training streams it again.
+    training streams immediately; ``"buffer"`` — the pipeline buffers the
+    first pass while :meth:`observe` counts it, calls :meth:`finalize`, and
+    only then trains the buffered walks (the paper's exact construction).
 ``virtual_chunk``
     ``None`` — physical chunk boundaries are irrelevant to the source;
     an int ``V`` — the source folds evidence at *canonical virtual chunk*
@@ -76,7 +75,6 @@ __all__ = [
     "DecayedSource",
     "DegreeSource",
     "NegativeSource",
-    "TwoPassSource",
     "make_source",
     "resolve_source",
 ]
@@ -106,7 +104,7 @@ class NegativeSource:
     name: str = "?"
     #: one-line trade-off summary rendered into the API docs
     summary: str = ""
-    #: ``None`` | ``"buffer"`` | ``"count"`` (see module docstring)
+    #: ``None`` | ``"buffer"`` (see module docstring)
     bootstrap_mode: str | None = None
     #: canonical virtual chunk size in walks, or ``None`` (see module docstring)
     virtual_chunk: int | None = None
@@ -187,7 +185,7 @@ class NegativeSource:
         return 0
 
     def finalize(self) -> None:
-        """Complete a pending bootstrap pass (counting sources only)."""
+        """Complete a pending bootstrap pass (buffering sources only)."""
 
     def sampler(self) -> NegativeSampler | None:
         """The sampler training should currently draw from."""
@@ -215,9 +213,15 @@ class DegreeSource(NegativeSource):
         return self._sampler
 
 
-class _CountingSource(NegativeSource):
-    """Shared machinery of the two paper-exact sources: accumulate int64
-    corpus frequencies during a bootstrap pass, then freeze one sampler."""
+class CorpusSource(NegativeSource):
+    """The paper's construction, verbatim: buffer the whole first-epoch
+    corpus, count its int64 node frequencies, freeze one sampler, then
+    train.  Exact semantics; O(corpus) peak memory and no first-epoch
+    overlap."""
+
+    name = "corpus"
+    summary = "paper-exact; buffers the first epoch, O(corpus) memory"
+    bootstrap_mode = "buffer"
 
     def _bootstrap(self, graph: CSRGraph) -> None:
         self._counts = np.zeros(graph.n_nodes, dtype=np.int64)
@@ -244,27 +248,6 @@ class _CountingSource(NegativeSource):
 
     def sampler(self) -> NegativeSampler | None:
         return self._sampler
-
-
-class CorpusSource(_CountingSource):
-    """The paper's construction, verbatim: buffer the whole first-epoch
-    corpus, count frequencies over it, build the sampler, then train.
-    Exact semantics; O(corpus) peak memory and no first-epoch overlap."""
-
-    name = "corpus"
-    summary = "paper-exact; buffers the first epoch, O(corpus) memory"
-    bootstrap_mode = "buffer"
-
-
-class TwoPassSource(_CountingSource):
-    """A cheap counting pass streams the corpus once (walks discarded after
-    counting), then a second identically-seeded pass streams the same walks
-    into training — bit-identical to ``"corpus"`` with bounded memory, at
-    twice the generation cost."""
-
-    name = "two_pass"
-    summary = "paper-exact and memory-bounded; generates the corpus twice"
-    bootstrap_mode = "count"
 
 
 class DecayedSource(NegativeSource):
@@ -390,7 +373,7 @@ class DecayedSource(NegativeSource):
 #: this registry.
 SOURCE_REGISTRY: dict[str, type[NegativeSource]] = {
     cls.name: cls
-    for cls in (CorpusSource, DegreeSource, TwoPassSource, DecayedSource)
+    for cls in (CorpusSource, DegreeSource, DecayedSource)
 }
 
 #: Valid ``negative_source`` names, in registry order.

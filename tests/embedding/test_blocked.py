@@ -111,7 +111,6 @@ class TestRegistryAndKnobs:
         assert "blocked" in EXEC_BACKENDS
         backend = make_backend("blocked")
         assert isinstance(backend, BlockedKernel)
-        assert not BlockedKernel.chunk_invariant  # one bulk draw per block
         assert repr(backend) == "BlockedKernel()"
 
     def test_tolerance_table_covers_every_model(self):

@@ -184,10 +184,9 @@ class TestReferenceBitIdentity:
 
     @pytest.mark.parametrize("name", MODELS)
     def test_block_staging_does_not_change_results(self, name):
-        """Staging width is a memory knob only on a chunk-invariant
-        backend: per-walk draws keep the sampler stream independent of
+        """Staging width is a memory knob only on the reference backend:
+        per-walk draws keep the sampler stream independent of
         ``block_walks``."""
-        assert ReferenceKernel.chunk_invariant is True
         rng = np.random.default_rng(4)
         walks = make_chunk(rng, 20, n_walks=6)
         a = make_model(name, 20, 8, seed=1)

@@ -93,6 +93,8 @@ class TestParallelWalkGenerator:
             {"n_workers": True},
             {"n_workers": "2"},
             {"prefetch": 0},
+            {"chunk_size": 0},
+            {"chunk_size": "auto"},
         ):
             with pytest.raises((ValueError, TypeError)):
                 train_parallel(graph, dim=8, hyper=HP, seed=0, **bad)

@@ -47,7 +47,7 @@ def mixed_tasks(graph, n_events=12):
 def _train(graph, source, n_workers):
     return train_parallel(
         graph, dim=8, hyper=HP, seed=4, n_workers=n_workers, chunk_size=CHUNK,
-        negative_source=source, tasks=lambda: mixed_tasks(graph),
+        negative_source=source, tasks=mixed_tasks(graph),
     )
 
 

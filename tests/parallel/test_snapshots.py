@@ -301,11 +301,8 @@ class TestRebaseKnobGone:
 
 class TestPipelineIntegration:
     def tasks(self, graph, other):
-        def stream():
-            yield WalkTask(starts=np.arange(graph.n_nodes), epoch=0, graph=other)
-            yield WalkTask(starts=np.arange(graph.n_nodes), epoch=1, graph=other)
-
-        return stream
+        yield WalkTask(starts=np.arange(graph.n_nodes), epoch=0, graph=other)
+        yield WalkTask(starts=np.arange(graph.n_nodes), epoch=1, graph=other)
 
     def test_snapshot_bytes_counted_and_saved(self, graph, other):
         """Two 32-start snapshot tasks at chunk_size=8 → 4 jobs per
@@ -445,7 +442,7 @@ class TestDynamicReplay:
 
         res = train_parallel(
             graph, dim=8, hyper=HP, n_workers=2, chunk_size=64,
-            negative_source="degree", tasks=tasks, seed=5,
+            negative_source="degree", tasks=tasks(), seed=5,
         )
         want = sum(_payload_len(task.graph) for task in tasks())
         assert res.telemetry.ipc_snapshot_bytes == want

@@ -148,17 +148,6 @@ class TestNegativeSources:
         assert np.array_equal(embs[0], embs[1])
         assert np.array_equal(embs[0], embs[2])
 
-    def test_two_pass_matches_corpus_exactly(self, graph):
-        """two_pass rebuilds the corpus-frequency sampler from a counting
-        pass — bit-identical result with bounded memory."""
-        a = train_parallel(
-            graph, dim=8, hyper=HP, n_workers=2, negative_source="corpus", seed=5
-        )
-        b = train_parallel(
-            graph, dim=8, hyper=HP, n_workers=2, negative_source="two_pass", seed=5
-        )
-        assert np.array_equal(a.embedding, b.embedding)
-
     def test_degree_source_differs_but_learns_same_corpus(self, graph):
         a = train_parallel(
             graph, dim=8, hyper=HP, negative_source="corpus", seed=5
@@ -180,10 +169,12 @@ class TestNegativeSources:
         )
         assert np.array_equal(a.embedding, b.embedding)
 
-    def test_invalid_source(self, graph):
-        with pytest.raises(ValueError):
-            # reprolint: disable=registry-sync(deliberately invalid name for the error path)
-            train_parallel(graph, hyper=HP, negative_source="oracle")
+    # "two_pass" was a source once; nothing stores a source name, so it
+    # maps to nothing
+    @pytest.mark.parametrize("bad", ("oracle", "two_pass"))
+    def test_invalid_source(self, graph, bad):
+        with pytest.raises(ValueError, match="negative_source"):
+            train_parallel(graph, hyper=HP, negative_source=bad)
 
 
 class TestGoldenRegression:
@@ -196,7 +187,6 @@ class TestGoldenRegression:
     GOLD = {
         "corpus": "a8beef21c823ad71109f6b3c993febb6b51400db55704eaf1b6f3d13f9e82218",
         "degree": "19382db2e3fd8fc669e7d1f33568a42d8676f9ac486f91c6eff2a4786913e086",
-        "two_pass": "a8beef21c823ad71109f6b3c993febb6b51400db55704eaf1b6f3d13f9e82218",
     }
 
     @staticmethod
@@ -251,8 +241,7 @@ class TestBlockedBackendPipeline:
     """``exec_backend="blocked"`` relaxes bit-identity to fixed *physical*
     chunking (the bulk negative draw is per chunk): identical across worker
     counts, prefetch depths and transports; different from reference (a
-    different, equally valid negative stream); pinned to chunk_size;
-    ``chunk_size="auto"`` refused."""
+    different, equally valid negative stream); pinned to chunk_size."""
 
     def run(self, graph, **kw):
         kw.setdefault("chunk_size", 16)
@@ -290,28 +279,6 @@ class TestBlockedBackendPipeline:
     def test_invalid_backend_rejected(self, graph, bad):
         with pytest.raises(ValueError, match="exec_backend"):
             train_parallel(graph, hyper=HP, exec_backend=bad, seed=5)
-
-    def test_auto_chunking_rejected(self, graph):
-        """chunk_size="auto" derives the schedule from workers + timing;
-        blocked pins results to the schedule — the combination would be
-        irreproducible and must be refused up front."""
-        with pytest.raises(ValueError, match="auto"):
-            self.run(graph, chunk_size="auto")
-        # a model carrying the blocked preference is caught the same way
-        from repro.embedding import make_model
-
-        mdl = make_model("proposed", graph.n_nodes, 8, seed=0, exec_backend="blocked")
-        with pytest.raises(ValueError, match="auto"):
-            train_parallel(
-                graph, model=mdl, hyper=HP, chunk_size="auto",
-                negative_source="degree", seed=5,
-            )
-        # and the rejected call must not have mutated the caller's model:
-        # validation runs before the trainer records any preference
-        clean = make_model("proposed", graph.n_nodes, 8, seed=0)
-        with pytest.raises(ValueError, match="auto"):
-            self.run(graph, model=clean, chunk_size="auto")
-        assert clean.exec_backend == "reference"
 
     def test_train_walk_honors_backend(self, graph):
         """Walk-by-walk driving must train with the backend the trainer
@@ -475,7 +442,7 @@ class TestTaskStreams:
 
         res = train_parallel(
             graph, dim=8, hyper=HP, n_workers=2, chunk_size=4,
-            negative_source="degree", tasks=tasks, seed=5,
+            negative_source="degree", tasks=tasks(), seed=5,
         )
         assert res.n_walks == 16
         assert res.telemetry.n_snapshots == 2
@@ -489,7 +456,7 @@ class TestTaskStreams:
         runs = [
             train_parallel(
                 graph, dim=8, hyper=HP, n_workers=nw, transport=tr, chunk_size=8,
-                negative_source="degree", tasks=tasks, seed=5,
+                negative_source="degree", tasks=tasks(), seed=5,
             ).embedding
             for nw, tr in ((0, "shm"), (2, "shm"), (2, "pickle"))
         ]
@@ -504,29 +471,10 @@ class TestTaskStreams:
                 graph, hyper=HP, negative_source="degree", tasks=stream, seed=5
             )
 
-    def test_two_pass_requires_callable_stream(self, graph):
-        stream = [WalkTask(starts=np.arange(8))]
-        with pytest.raises(ValueError, match="two_pass"):
-            train_parallel(
-                graph, hyper=HP, negative_source="two_pass", tasks=stream, seed=5
-            )
-        # callable is fine — and matches corpus over the same stream
-        a = train_parallel(
-            graph, dim=8, hyper=HP, negative_source="two_pass",
-            tasks=lambda: iter(stream), seed=5,
-        )
-        b = train_parallel(
-            graph, dim=8, hyper=HP, negative_source="corpus",
-            tasks=lambda: iter(stream), seed=5,
-        )
-        assert np.array_equal(a.embedding, b.embedding)
-
-    def test_task_stream_rejects_epochs_and_auto_chunking(self, graph):
+    def test_task_stream_rejects_epochs(self, graph):
         stream = [WalkTask(starts=np.arange(8))]
         with pytest.raises(ValueError, match="epochs"):
             train_parallel(graph, hyper=HP, tasks=stream, epochs=2, seed=5)
-        with pytest.raises(ValueError, match="auto"):
-            train_parallel(graph, hyper=HP, tasks=stream, chunk_size="auto", seed=5)
 
     def test_walk_seeds_span_tasks_globally(self, graph):
         """One 16-start task and two 8-start tasks must generate the same
@@ -596,6 +544,41 @@ class TestTelemetry:
 
         res = train_on_graph(graph, dim=8, hyper=HP, seed=0)
         assert res.telemetry is None
+
+
+class TestTelemetryInvariants:
+    """The accounting contracts of PipelineTelemetry over a two-epoch run."""
+
+    @pytest.fixture
+    def result(self, graph, pooled):
+        return train_parallel(
+            graph, dim=8, hyper=HP, n_workers=2, chunk_size=8, prefetch=2,
+            negative_source="degree", seed=5, epochs=2,
+        )
+
+    def test_stage_times_sum_within_total(self, result):
+        t = result.telemetry
+        # wait and train are disjoint consumer-side intervals carved out of
+        # the run; generation happens on workers and may exceed total
+        assert 0.0 <= t.wait_s
+        assert 0.0 < t.train_s
+        assert 0.0 < t.generation_s
+        assert t.wait_s + t.train_s <= t.total_s + 1e-6
+
+    def test_chunk_accounting(self, result, graph):
+        t = result.telemetry
+        walks_per_epoch = HP.r * graph.n_nodes
+        assert t.n_chunks == 2 * -(-walks_per_epoch // 8)
+        assert t.epochs == 2
+
+    def test_peak_buffered_bounded_by_window(self, result):
+        assert 0 < result.telemetry.peak_buffered_walks <= 2 * 8
+
+    def test_transport_recorded(self, result):
+        assert result.telemetry.transport in ("shm", "pickle")
+
+    def test_overlap_efficiency_in_unit_interval(self, result):
+        assert 0.0 <= result.telemetry.overlap_efficiency <= 1.0
 
 
 class TestInlineStateIsolation:

@@ -152,25 +152,14 @@ class TestTransportEquivalence:
         assert np.array_equal(embs[0], embs[1])
 
     @pytest.mark.parametrize("source", NEGATIVE_SOURCES)
-    def test_bit_identical_fixed_vs_auto_chunks(self, graph, source):
-        """The other acceptance invariant: chunk_size (fixed or "auto")
-        never changes the embedding."""
-        fixed = train_parallel(
-            graph, dim=8, hyper=HP, n_workers=2, chunk_size=16,
-            negative_source=source, seed=5, epochs=2,
-        )
-        auto = train_parallel(
-            graph, dim=8, hyper=HP, n_workers=2, chunk_size="auto",
-            negative_source=source, seed=5, epochs=2,
-        )
-        assert np.array_equal(fixed.embedding, auto.embedding)
-        assert auto.telemetry.chunk_sizes and len(auto.telemetry.chunk_sizes) == 2
-
-    def test_bit_identical_across_chunk_sizes(self, graph):
+    def test_bit_identical_across_chunk_sizes(self, graph, source):
+        """The other acceptance invariant: chunk_size never changes the
+        embedding, over two epochs (the corpus source's buffered pass and
+        its streamed one)."""
         embs = [
             train_parallel(
                 graph, dim=8, hyper=HP, n_workers=2, chunk_size=cs,
-                negative_source="degree", seed=5,
+                negative_source=source, seed=5, epochs=2,
             ).embedding
             for cs in (4, 16, 64)
         ]
@@ -215,9 +204,9 @@ class TestTransportEquivalence:
     def test_api_chunk_size_alone_implies_pipeline(self, graph):
         from repro import train_embedding
 
-        res = train_embedding(graph, dim=8, hyper=HP, chunk_size="auto", seed=5)
+        res = train_embedding(graph, dim=8, hyper=HP, chunk_size=16, seed=5)
         assert res.telemetry is not None
-        assert res.telemetry.chunk_sizes
+        assert res.telemetry.n_chunks == -(-HP.r * graph.n_nodes // 16)
 
     def test_invalid_transport(self, graph):
         with pytest.raises(ValueError):
@@ -227,10 +216,11 @@ class TestTransportEquivalence:
             # reprolint: disable=registry-sync(deliberately invalid name for the error path)
             ParallelWalkGenerator(graph, transport="osc")
 
-    def test_invalid_chunk_size_string(self, graph):
-        with pytest.raises(ValueError):
-            # reprolint: disable=registry-sync(deliberately invalid name for the error path)
-            train_parallel(graph, hyper=HP, chunk_size="adaptive")
+    # "auto" was a timing-driven chunk schedule once; chunk_size is an int
+    @pytest.mark.parametrize("bad", ("adaptive", "auto"))
+    def test_invalid_chunk_size_string(self, graph, bad):
+        with pytest.raises(TypeError, match="chunk_size"):
+            train_parallel(graph, hyper=HP, chunk_size=bad)
 
 
 class TestIpcAccounting:

@@ -31,3 +31,13 @@ def retired(graph, train_parallel):
 def serve(train_dynamic, graph, store="ramdisk"):  # expect: registry-sync
     """Docstring drift: recommends store="tmpfs" for fast serving."""  # expect: registry-sync
     return train_dynamic(graph, store="mmap")  # expect: registry-sync
+
+
+def deleted(graph, train_parallel):
+    """Docstring drift: tune with chunk_size="auto" for big graphs."""  # expect: registry-sync
+    train_parallel(graph, chunk_size="auto")  # expect: registry-sync
+    return train_parallel(graph, negative_source="two_pass")  # expect: registry-sync
+
+
+def knob(graph, chunk_size="adaptive"):  # expect: registry-sync
+    return graph, chunk_size

@@ -8,11 +8,11 @@ def run(graph, train_parallel):
         negative_source="corpus",
         exec_backend="blocked",
         transport="shm",
-        chunk_size="auto",
+        chunk_size=256,
     )
 
 
-def helper(graph, transport="pickle", negative_source="two_pass"):
+def helper(graph, transport="pickle", negative_source="decayed"):
     # a bare quoted word ("seq", "walk", ...) is not a knob assignment
     return graph, "decayed and degree are described elsewhere"
 

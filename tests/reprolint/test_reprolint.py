@@ -99,7 +99,8 @@ class TestEngine:
 
     def test_registry_extraction(self, registries):
         assert registries.sources is not None
-        assert {"corpus", "degree", "two_pass", "decayed"} <= registries.sources
+        assert registries.sources == frozenset({"corpus", "degree", "decayed"})
+        assert registries.vocabulary("chunk_size") == frozenset()
         assert registries.backends is not None
         assert registries.backends == frozenset({"reference", "blocked"})
         assert registries.models is not None

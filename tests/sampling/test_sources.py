@@ -1,7 +1,7 @@
 """Tests for repro.sampling.sources — the pluggable negative-source layer.
 
-Covers protocol conformance across the registry, the counting sources'
-equivalence with the direct NegativeSampler constructions they replaced,
+Covers protocol conformance across the registry, the corpus source's
+equivalence with the direct NegativeSampler construction it replaced,
 and the DecayedSource fold/rebuild math (decay factor, K, virtual-chunk
 accumulation, decay-aware floor, persistent RNG across rebuilds).
 """
@@ -18,7 +18,6 @@ from repro.sampling.sources import (
     DecayedSource,
     DegreeSource,
     NegativeSource,
-    TwoPassSource,
     make_source,
     resolve_source,
 )
@@ -32,7 +31,7 @@ def graph():
 class TestRegistry:
     def test_names_render_from_registry(self):
         assert NEGATIVE_SOURCES == tuple(SOURCE_REGISTRY)
-        assert set(NEGATIVE_SOURCES) == {"corpus", "degree", "two_pass", "decayed"}
+        assert set(NEGATIVE_SOURCES) == {"corpus", "degree", "decayed"}
 
     def test_registry_keys_match_class_names(self):
         for name, cls in SOURCE_REGISTRY.items():
@@ -95,7 +94,6 @@ class TestProtocol:
 
     def test_bootstrap_modes(self):
         assert CorpusSource.bootstrap_mode == "buffer"
-        assert TwoPassSource.bootstrap_mode == "count"
         assert DegreeSource.bootstrap_mode is None
         assert DecayedSource.bootstrap_mode is None
 
@@ -110,14 +108,13 @@ class TestDegreeSource:
 
 
 class TestCountingSources:
-    @pytest.mark.parametrize("cls", [CorpusSource, TwoPassSource])
-    def test_chunked_counts_match_from_walks(self, graph, cls):
+    def test_chunked_counts_match_from_walks(self, graph):
         """Per-chunk observes must sum to the whole-corpus construction —
         the equivalence the strategy refactor's bit-identity rests on."""
         rng = np.random.default_rng(0)
         walks = [rng.integers(0, graph.n_nodes, size=rng.integers(1, 9))
                  for _ in range(20)]
-        src = cls(power=0.75, seed=5)
+        src = CorpusSource(power=0.75, seed=5)
         src.bootstrap(graph)
         assert src.wants_frequencies
         for lo in range(0, len(walks), 6):

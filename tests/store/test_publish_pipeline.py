@@ -14,7 +14,7 @@ import pytest
 from repro.dynamic import run_seq_scenario
 from repro.experiments.hyper import Node2VecParams
 from repro.graph import ring_of_cliques
-from repro.parallel import train_parallel
+from repro.parallel import NEGATIVE_SOURCES, train_parallel
 from repro.parallel.tasks import WalkTask
 from repro.store import STORE_BACKENDS, ShmEmbeddingStore, make_store
 
@@ -150,9 +150,8 @@ class TestDynamicPublish:
 
 
 def _task_stream(graph, n_epochs=5):
-    """A zero-argument task factory (``"two_pass"`` streams it twice): one
-    task per epoch on the base graph, three start nodes each."""
-    return lambda: [
+    """One task per epoch on the base graph, three start nodes each."""
+    return [
         WalkTask(starts=np.arange(3 * e, 3 * e + 3) % graph.n_nodes, epoch=e)
         for e in range(n_epochs)
     ]
@@ -166,7 +165,7 @@ class TestPublishSchedule:
 
     @pytest.mark.parametrize("publish_every", [1, 2])
     @pytest.mark.parametrize("path", ["static", "tasks"])
-    @pytest.mark.parametrize("source", ["corpus", "two_pass", "degree", "decayed"])
+    @pytest.mark.parametrize("source", NEGATIVE_SOURCES)
     def test_published_versions(self, graph, source, path, publish_every):
         expected = {
             ("static", 1): (0, 1, 2),
@@ -216,7 +215,7 @@ class TestPublishPoint:
         try:
             train_parallel(
                 graph, dim=8, hyper=HP, seed=0, negative_source=source,
-                store=store, tasks=_recording(store, _task_stream(graph)(), seen),
+                store=store, tasks=_recording(store, _task_stream(graph), seen),
             )
             assert seen == [None, 0, 1, 2, 3, 4]
             assert store.epochs() == (0, 1, 2, 3, 4)

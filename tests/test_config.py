@@ -23,6 +23,9 @@ class TestDataclass:
             train_embedding(graph, dim=8, hyper=HP, seed=1, n_workers=-1)
         with pytest.raises(ValueError, match="prefetch"):
             train_embedding(graph, dim=8, hyper=HP, seed=1, n_workers=0, prefetch=0)
+        with pytest.raises(TypeError, match="chunk_size"):
+            # reprolint: disable=registry-sync(a chunk schedule name that no longer exists)
+            train_embedding(graph, dim=8, hyper=HP, seed=1, chunk_size="auto")
         with pytest.raises(TypeError, match="snapshot_rebase_every"):
             train_parallel(graph, dim=8, hyper=HP, seed=1, snapshot_rebase_every=1)
         as_int = train_parallel(graph, dim=8, hyper=HP, seed=1, negative_power=1)

@@ -10,7 +10,7 @@ define them.  A missing module disables only the checks that need it.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 __all__ = ["Registries", "load_registries", "find_repo_root"]
@@ -25,7 +25,8 @@ class Registries:
     models: frozenset[str] | None = None
     transports: frozenset[str] | None = None
     stores: frozenset[str] | None = None
-    chunk_size_tokens: frozenset[str] = field(default=frozenset({"auto"}))
+    #: ``chunk_size`` is an int: no string is a valid value
+    chunk_size_tokens: frozenset[str] = frozenset()
 
     def vocabulary(self, knob: str) -> frozenset[str] | None:
         return {

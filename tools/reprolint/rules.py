@@ -211,8 +211,13 @@ _KNOBS = (
     "negative_source", "exec_backend", "model", "transport", "chunk_size", "store",
 )
 _STRING_KNOB_RE = re.compile(
-    r"\b(negative_source|exec_backend|model|transport|store)\s*=\s*\"([A-Za-z_0-9]+)\""
+    r"\b(negative_source|exec_backend|model|transport|store|chunk_size)"
+    r"\s*=\s*\"([A-Za-z_0-9]+)\""
 )
+
+
+def _known(vocab: frozenset[str]) -> str:
+    return ", ".join(sorted(vocab)) if vocab else "none; the knob takes no string"
 
 
 def _check_knob(
@@ -228,7 +233,7 @@ def _check_knob(
         line,
         "registry-sync",
         f'{knob}="{value.value}" is not a registered name '
-        f"(known: {', '.join(sorted(vocab))}) — registries are the single "
+        f"(known: {_known(vocab)}) — registries are the single "
         "source of truth; hand-written name literals drift",
     )
 
@@ -241,7 +246,8 @@ def rule_registry_sync(ctx: FileContext) -> Iterator[Violation]:
     ``negative_source=``/``exec_backend=``/``model=``/``transport=``/
     ``store=`` keyword argument, function-signature default, and
     ``knob="value"`` token inside string constants (docstrings, error
-    messages) against them.
+    messages) against them.  ``chunk_size`` has an empty vocabulary: it
+    takes an int, so any string value is flagged.
     """
     # (a) keyword arguments at call sites
     for call in _calls_of(ctx.tree):
@@ -276,7 +282,7 @@ def rule_registry_sync(ctx: FileContext) -> Iterator[Violation]:
                 line,
                 "registry-sync",
                 f'string mentions {knob}="{value}" but the registry only '
-                f"knows: {', '.join(sorted(vocab))} — update the doc/message "
+                f"knows: {_known(vocab)} — update the doc/message "
                 "or register the name",
             )
 
