@@ -54,7 +54,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.dynamic import DynamicGraph, edge_stream
 from repro.graph.generators import degree_corrected_sbm
 from repro.parallel import pipeline
-from repro.sampling.lockstep import LOCKSTEP_MIN_WALKS
+from repro.sampling.lockstep import LOCKSTEP_MIN_WALKS, WalkBatch
 from repro.sampling.sources import DecayedSource
 from repro.sampling.walks import WalkParams
 
@@ -117,7 +117,9 @@ def _walk_paths(graph, edges, n_walks, n_chunks, monkeypatch, rounds=5):
     per_walk, _ = pipeline._run_chunk(graph, EVENT_WALK, starts, 0, lo)
     monkeypatch.setattr(pipeline, "LOCKSTEP_MIN_WALKS", 0)
     lockstep, _ = pipeline._run_chunk(graph, EVENT_WALK, starts, 0, lo)
-    assert np.array_equal(per_walk.data, lockstep.data)  # same walks either way
+    assert np.array_equal(  # same walks either way
+        WalkBatch.from_walks(per_walk, EVENT_WALK.length).data, lockstep.data
+    )
     rates: dict[bool, list[float]] = {False: [], True: []}
     for _ in range(rounds):
         for path in (False, True):

@@ -48,12 +48,11 @@ import numpy as np
 from repro.experiments.hyper import Node2VecParams
 from repro.experiments.report import ExperimentReport
 from repro.graph import amazon_photo_like
-from repro.parallel import train_parallel
+from repro.parallel import ParallelWalkGenerator, train_parallel
 
 N_WORKERS = 2
 EXEC_BACKEND = "blocked"
 CHUNK_SIZE = 256
-PREFETCH = 2
 REPEATS = 5
 
 #: (negative_source, transport) variants, keyed "source/transport"
@@ -82,7 +81,6 @@ def test_pipeline_overlap(benchmark, emit_report, profile):
                     hyper=hyper,
                     n_workers=N_WORKERS,
                     chunk_size=CHUNK_SIZE,
-                    prefetch=PREFETCH,
                     transport=transport,
                     negative_source=source,
                     exec_backend=EXEC_BACKEND,
@@ -154,6 +152,8 @@ def test_pipeline_overlap(benchmark, emit_report, profile):
     buffered = rows["corpus/pickle"]
     streamed = rows["degree/pickle"]
     shm = rows["degree/shm"]
+    # the pipeline's own window for this worker count, not a copied formula
+    window = ParallelWalkGenerator(graph, n_workers=N_WORKERS).prefetch
 
     # ---------------- streaming vs buffering (PR 1 invariants) ----------
     if multicore:
@@ -168,9 +168,9 @@ def test_pipeline_overlap(benchmark, emit_report, profile):
     # higher overlap efficiency — on any core count
     assert streamed["wait_s"] < buffered["wait_s"]
     assert streamed["overlap"] > buffered["overlap"]
-    # bounded memory: peak buffered walks ≤ the prefetch window, while the
+    # bounded memory: peak buffered walks ≤ the window, while the
     # buffered baseline holds the entire corpus
-    assert streamed["peak"] <= PREFETCH * CHUNK_SIZE
+    assert streamed["peak"] <= window * CHUNK_SIZE
     assert buffered["peak"] == buffered["n_walks"]
     # both train the same corpus (the sampler differs, the walks do not)
     assert streamed["n_walks"] == buffered["n_walks"]
@@ -182,8 +182,8 @@ def test_pipeline_overlap(benchmark, emit_report, profile):
     assert streamed["transport"] == "pickle"
     assert np.array_equal(shm["embedding"], streamed["embedding"])
     assert streamed["ipc_walk_bytes"] > 0
-    # same streaming structure: the prefetch bound is transport-independent
-    assert shm["peak"] <= PREFETCH * CHUNK_SIZE
+    # same streaming structure: the window bound is transport-independent
+    assert shm["peak"] <= window * CHUNK_SIZE
     if shm["transport"] == "shm":
         # the zero-copy win, counted exactly: the pickle channel carried
         # the whole corpus for the pickle transport and nothing for shm

@@ -9,8 +9,8 @@ example runs that protocol through the streaming engine
 
 * every edge event snapshots the ``DynamicGraph`` and emits a walk task,
   so workers generate walks for upcoming insertions *while* the trainer
-  consumes the current one (``n_workers``, ``transport``, ``prefetch``
-  all apply);
+  consumes the current one (``n_workers`` and ``transport`` apply; the
+  window holds two chunks per worker);
 * negatives come from the pluggable source layer — here the online
   ``"decayed"`` source: degree bootstrap, exponentially-decayed streaming
   frequency folds, alias rebuild every K virtual chunks;

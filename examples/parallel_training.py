@@ -4,18 +4,19 @@
 The paper's board overlaps PS-side walk sampling with PL-side training
 (§3.2); :func:`repro.parallel.train_parallel` reproduces that overlap on a
 multicore host.  Walk chunks stream out of a fork pool through a bounded
-prefetch window while the main process trains on them — and the embedding
-stays bit-identical for any worker count.
+window of ``max(2, 2 * n_workers)`` chunks while the main process trains on
+them — and the embedding stays bit-identical for any worker count.
 
 Knobs demonstrated below:
 
-* ``n_workers`` — 0/1 inline, ≥2 a fork pool;
+* ``n_workers`` — 0/1 inline, ≥2 a fork pool (it also sets the window:
+  two chunks in flight per worker);
 * ``negative_source`` — ``"corpus"`` (paper-exact, buffers the first epoch),
   ``"degree"`` (streams from the first chunk, bounded memory),
   ``"decayed"`` (online: decayed streaming frequencies + periodic alias
   rebuilds — see examples/dynamic_streaming.py for its home turf);
-* ``prefetch`` / ``chunk_size`` — depth and granularity of the pipeline
-  (start nodes per chunk, an int);
+* ``chunk_size`` — granularity of the pipeline (start nodes per chunk, an
+  int);
 * ``transport`` — ``"shm"`` (zero-copy shared-memory ring) vs ``"pickle"``
   (serialized through the pool result pipe);
 * ``exec_backend`` — ``"reference"`` (the bit-exact per-walk loop) vs

@@ -81,10 +81,8 @@ def train_embedding(
     negative_power: float | None = None,
     transport: str | None = None,
     chunk_size: int | None = None,
-    prefetch: int | None = None,
     exec_backend: str | None = None,
     store: str | EmbeddingStore | None = None,
-    publish_every: int = 1,
     seed: SeedLike = None,
     **model_kwargs: Any,
 ) -> TrainingResult:
@@ -155,12 +153,8 @@ def train_embedding(
         ``None`` follows the model's own preference (``"reference"`` unless
         restored from a checkpoint that says otherwise).  ``"blocked"``
         draws each chunk's negatives in one bulk pass, so its embedding is
-        pinned to the chunk schedule (still bit-identical across workers,
-        prefetch and transports).
-    prefetch:
-        pipeline-only knob: chunks kept in flight ahead of the trainer
-        (default ``max(2, 2 * n_workers)``).  Setting it implies the
-        pipelined path.
+        pinned to the chunk schedule (still bit-identical across workers
+        and transports).
     store:
         serving-store hookup (implies the pipelined path): a name from
         :data:`repro.store.STORE_REGISTRY` or a pre-constructed
@@ -169,7 +163,7 @@ def train_embedding(
 {stores}
 
         The run publishes a versioned epoch snapshot into the store after
-        every ``publish_every``-th training epoch (zero-copy: unchanged
+        every training epoch (zero-copy: unchanged
         shards are shared by reference; ``telemetry.store_full_copies``
         stays 0).  The live store rides out on ``TrainingResult.store`` —
         pass it to :func:`serve_embedding`, then ``close()`` it.
@@ -192,7 +186,6 @@ def train_embedding(
         negative_source=negative_source,
         transport=transport,
         chunk_size=chunk_size,
-        prefetch=prefetch,
     )
     if store is None and not routing:
         from repro.embedding.trainer import train_on_graph
@@ -211,7 +204,6 @@ def train_embedding(
         hyper=hyper,
         epochs=epochs,
         store=store,
-        publish_every=publish_every,
         seed=seed,
         **knobs,
         **routing,
@@ -234,10 +226,8 @@ def train_dynamic(
     negative_power: float | None = None,
     transport: str | None = None,
     chunk_size: int | None = None,
-    prefetch: int | None = None,
     exec_backend: str | None = None,
     store: str | EmbeddingStore | None = None,
-    publish_every: int = 1,
     seed: SeedLike = None,
     **model_kwargs: Any,
 ) -> ScenarioResult:
@@ -272,7 +262,7 @@ def train_dynamic(
 {stores}
 
     Each replayed task epoch publishes a versioned snapshot of the live
-    embedding (thinned by ``publish_every``; zero full-table copies —
+    embedding (zero full-table copies —
     readers pinned to an epoch keep seeing its exact vectors while the
     replay publishes behind them).  The store rides out on
     ``extras["training_result"].store``.
@@ -296,12 +286,10 @@ def train_dynamic(
         initial_training=initial_training,
         walks_per_endpoint=walks_per_endpoint,
         store=store,
-        publish_every=publish_every,
         model_kwargs=model_kwargs or None,
         **_passed(
             n_workers=n_workers,
             chunk_size=chunk_size,
-            prefetch=prefetch,
             transport=transport,
             negative_source=negative_source,
             negative_power=negative_power,

@@ -94,7 +94,6 @@ def run_drift_scenario(
     seed=None,
     n_workers: int = 0,
     chunk_size: int | None = None,
-    prefetch: int | None = None,
     transport: str = "shm",
     negative_source="corpus",
     negative_power: float = 0.75,
@@ -107,7 +106,7 @@ def run_drift_scenario(
     Both training phases run through the streaming pipeline
     (:func:`repro.parallel.train_parallel`), warm-starting the second phase
     from the same model instance — so the drift study inherits the pipeline
-    knobs (``n_workers``, ``transport``, ``chunk_size``, ``prefetch``) and
+    knobs (``n_workers``, ``transport``, ``chunk_size``) and
     any ``negative_source``, including ``"decayed"`` for an online sampler
     that tracks the post-drift distribution.  The per-phase
     :class:`~repro.parallel.PipelineTelemetry` pair lands in
@@ -133,7 +132,6 @@ def run_drift_scenario(
             hyper=hp,
             n_workers=n_workers,
             chunk_size=DEFAULT_CHUNK_SIZE if chunk_size is None else chunk_size,
-            prefetch=prefetch,
             transport=transport,
             negative_source=negative_source,
             negative_power=negative_power,

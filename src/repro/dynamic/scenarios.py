@@ -15,7 +15,7 @@ becomes a lazy :class:`~repro.parallel.tasks.WalkTask` stream
 :func:`repro.parallel.train_parallel`, so scenario replay inherits every
 pipeline knob — ``n_workers`` (walk generation fanned out while the main
 process trains), ``transport`` (zero-copy shm ring vs pickle),
-``chunk_size``, ``prefetch`` — and every ``negative_source``, including the
+``chunk_size`` — and every ``negative_source``, including the
 online ``"decayed"`` source (the default here: degree bootstrap plus
 exponentially-decayed streaming frequencies, built for exactly this
 moving-distribution workload).  The trained embedding is bit-identical
@@ -120,13 +120,11 @@ def run_seq_scenario(
     walks_per_endpoint: int | None = None,
     n_workers: int | None = None,
     chunk_size: int | None = None,
-    prefetch: int | None = None,
     transport: str | None = None,
     negative_source="decayed",
     negative_power: float | None = None,
     exec_backend: str | None = None,
     store=None,
-    publish_every: int = 1,
     model_kwargs: dict | None = None,
 ) -> ScenarioResult:
     """Figure 6's "seq" case: forest first, then per-edge sequential training
@@ -150,10 +148,10 @@ def run_seq_scenario(
         node2vec's r applies per start node).  Default: ``hyper.r`` —
         this is what makes "the number of training samples increase in the
         'seq' case" (§4.3.2) relative to the "all" corpus.
-    n_workers / chunk_size / prefetch / transport:
+    n_workers / chunk_size / transport:
         streaming-pipeline knobs, forwarded to
-        :func:`~repro.parallel.train_parallel`: walk generation for event
-        *i+1 … i+prefetch* overlaps training on event *i*'s walks, chunks
+        :func:`~repro.parallel.train_parallel`: walk generation for the
+        events after event *i* overlaps training on event *i*'s walks, chunks
         move through the shm ring or the pickle channel, and the embedding
         stays bit-identical across worker counts and transports.
     negative_source:
@@ -170,14 +168,14 @@ def run_seq_scenario(
         follows the model's own preference.  ``"blocked"`` is the fast
         path for the OS-ELM ``"proposed"`` model this scenario defaults
         to — the rank-k RLS block solves batch each event's walk updates.
-    store / publish_every:
+    store:
         serving-store hookup, forwarded to
         :func:`~repro.parallel.train_parallel`: each replayed task epoch
         (the initial corpus is epoch -1, event *k* is epoch *k*) publishes
         a pinned, versioned snapshot of the live embedding into the store
         as soon as its last chunk has trained, not when the next event
-        arrives (thinned by ``publish_every``), and the store rides out
-        on ``extras["training_result"].store``.
+        arrives, and the store rides out on
+        ``extras["training_result"].store``.
 
     The pipeline telemetry (snapshots consumed, per-snapshot stalls,
     sampler rebuilds, transport, stage timings, publish-once snapshot
@@ -225,8 +223,8 @@ def run_seq_scenario(
 
     # knobs left at None are not forwarded: the pipeline's defaults apply
     knobs = dict(
-        n_workers=n_workers, chunk_size=chunk_size, prefetch=prefetch,
-        transport=transport, negative_power=negative_power,
+        n_workers=n_workers, chunk_size=chunk_size, transport=transport,
+        negative_power=negative_power,
     )
     result = train_parallel(
         split.initial,  # the t=0 snapshot: model sizing + source bootstrap
@@ -237,7 +235,6 @@ def run_seq_scenario(
         negative_source=negative_source,
         exec_backend=exec_backend,
         store=store,
-        publish_every=publish_every,
         tasks=replay_tasks(),
         seed=train_seed,
         **{name: value for name, value in knobs.items() if value is not None},

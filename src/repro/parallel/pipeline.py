@@ -9,24 +9,23 @@ This module provides
 * :class:`ParallelWalkGenerator` — walk generation fanned out over a
   ``multiprocessing`` pool (fork start method; the CSR arrays are shared
   copy-on-write, so workers carry no pickling cost for the base graph).
-  Jobs go out through a consumer-driven bounded prefetch window (submit one
-  as one is consumed, FIFO), so at most ``prefetch`` chunks are ever
-  buffered ahead of the consumer — peak memory is set by the queue depth,
-  not the corpus size.  The engine consumes a stream of
-  :class:`~repro.parallel.tasks.WalkTask` items — the static corpus is one
-  task; a dynamic-graph replay is many, each tagged with its snapshot
-  epoch and carrying its own immutable graph snapshot.
+  Jobs go out through a consumer-driven bounded window (submit one as one
+  is consumed, FIFO) of ``max(2, 2 * n_workers)`` chunks, so peak memory
+  is set by the worker count, not the corpus size.  The engine consumes a
+  stream of :class:`~repro.parallel.tasks.WalkTask` items — the static
+  corpus is one task; a dynamic-graph replay is many, each tagged with its
+  snapshot epoch and carrying its own immutable graph snapshot.
 * chunk placement — a chunk of fewer than :data:`POOL_MIN_WALK_STEPS`
   walk-steps (an edge event's few walks) walks in the consumer, where a
   worker round trip would cost more than the walk; larger chunks go to the
   pool, which is forked on the first of them.  ``n_workers`` is therefore
   a cap: a stream of small chunks never starts a worker.  The window never
   pulls the task stream past an inline chunk, so a live event is walked
-  and trained as soon as it arrives, not once ``prefetch`` later events
-  have.
+  and trained as soon as it arrives, not once a window of later events
+  has.
 * :func:`train_parallel` — the full pipeline: walk tasks → chunks of start
   nodes → worker walks → in-order training, with the main process training
-  chunk *i* while workers generate chunks *i+1 … i+prefetch*.
+  chunk *i* while workers generate the window of chunks after it.
 * :class:`PipelineTelemetry` — per-stage timing (generation / stall /
   train), transport, buffering, snapshot and sampler-rebuild telemetry,
   attached to the ``TrainingResult``.
@@ -106,8 +105,8 @@ rendered from :data:`repro.sampling.sources.SOURCE_REGISTRY`.
 Determinism: walk *j* derives its stream from (base seed, walk namespace,
 global walk index *j*), the start list from a disjoint (base seed, starts
 namespace) stream, and results are consumed in order — so the trained
-embedding is **bit-identical for any worker count, prefetch depth, chunk
-size, transport and chunk placement** under every ``negative_source``.
+embedding is **bit-identical for any worker count, chunk size, transport
+and chunk placement** under every ``negative_source``.
 For ``"decayed"`` the sampler state additionally depends on the canonical
 *virtual* chunk schedule, so its bit-identity contract is relaxed to runs
 with the same ``virtual_chunk`` — still independent of worker count,
@@ -185,6 +184,12 @@ POOL_MIN_WALK_STEPS = 1024
 _WALK_NS = 0
 _STARTS_NS = 1
 
+
+def _walk_seed(seed: int, j: int) -> np.random.SeedSequence:
+    """The stream of global walk ``j`` under base ``seed``."""
+    return np.random.SeedSequence([seed, _WALK_NS, j])
+
+
 # How long the consumer waits on a chunk before it checks that no walk
 # worker has died: a lost chunk's result never arrives, so an unbounded
 # wait would hang the run.
@@ -211,52 +216,44 @@ def _init_worker(
 
 def _run_chunk(
     graph: CSRGraph, params: WalkParams, starts: np.ndarray, seed: int, lo: int
-) -> tuple[WalkBatch, float]:
-    """Walk one chunk; returns ``(batch, generation_seconds)``.
+) -> tuple[WalkBatch | list[np.ndarray], float]:
+    """Walk one chunk; returns ``(walks, generation_seconds)``.
 
     ``lo`` is the chunk's global walk offset: walk ``lo + k`` draws from its
     own per-walk stream, making the corpus independent of how the start
     list was chunked.  A chunk of at least ``LOCKSTEP_MIN_WALKS`` walks
     advances all its walks in lockstep, bitwise the same walks as the
-    per-walk loop (:mod:`repro.sampling.lockstep`); smaller chunks walk one
-    at a time.
+    per-walk loop (:mod:`repro.sampling.lockstep`), and comes back as one
+    padded :class:`WalkBatch`; smaller chunks walk one at a time and come
+    back as the list of walks.
     """
     t0 = time.perf_counter()
-    streams = (
-        as_generator(np.random.SeedSequence([seed, _WALK_NS, lo + k]))
-        for k in range(len(starts))
-    )
+    streams = (as_generator(_walk_seed(seed, lo + k)) for k in range(len(starts)))
     if len(starts) >= LOCKSTEP_MIN_WALKS:
-        batch = lockstep_walks(graph, params, starts, streams)
+        walks = lockstep_walks(graph, params, starts, streams)
     else:
         walks = [
             Node2VecWalker(graph, params, seed=rng).walk(s)
             for s, rng in zip(starts.tolist(), streams, strict=True)
         ]
-        batch = WalkBatch.from_walks(walks, params.length)
-    return batch, time.perf_counter() - t0
+    return walks, time.perf_counter() - t0
 
 
-def _walk_chunk_pickle(job: tuple) -> tuple:
-    """Pool entry point, pickle transport: the chunk rides the result pipe.
-    ``graph_ref`` is ``None`` for the pool's base graph, else a
-    :class:`~repro.parallel.snapshots.SnapshotStore` reference (resolved —
-    and the snapshot deserialized — at most once per worker per sid)."""
-    starts, lo, graph_ref = job
-    g = _WORKER_GRAPH if graph_ref is None else resolve_snapshot_ref(graph_ref)
-    batch, gen_s = _run_chunk(g, _WORKER_PARAMS, starts, _WORKER_SEED, lo)
-    return ("pickle", batch, gen_s)
-
-
-def _walk_chunk_shm(job: tuple) -> tuple:
-    """Pool entry point, shm transport: the chunk's padded batch is copied
-    into a ring slot in one block and only a control tuple rides the result
-    pipe.  Chunks ragged beyond the slot shape degrade to the pickle
-    payload for that chunk alone."""
+def _walk_pooled(job: tuple) -> tuple:
+    """Pool entry point: walk a chunk as one padded batch.  Given a ring
+    ``slot`` (the shm transport), the batch is copied into the slot in one
+    block and only a control tuple rides the result pipe; without one, or
+    when the chunk is ragged beyond the slot shape, the batch itself rides
+    the pipe, pickled.  ``graph_ref`` is ``None`` for the pool's base graph,
+    else a :class:`~repro.parallel.snapshots.SnapshotStore` reference
+    (resolved — and the snapshot deserialized — at most once per worker per
+    sid)."""
     slot, starts, lo, graph_ref = job
     g = _WORKER_GRAPH if graph_ref is None else resolve_snapshot_ref(graph_ref)
     t0 = time.perf_counter()
     batch, _ = _run_chunk(g, _WORKER_PARAMS, starts, _WORKER_SEED, lo)
+    if not isinstance(batch, WalkBatch):
+        batch = WalkBatch.from_walks(batch, _WORKER_PARAMS.length)
     if _WORKER_RING is not None and _WORKER_RING.write(slot, batch):
         return ("shm", slot, len(starts), time.perf_counter() - t0)
     return ("pickle", batch, time.perf_counter() - t0)
@@ -305,8 +302,8 @@ class _FlowStats:
 
     ``peak_in_flight`` is the high-water mark of walks pulled into the
     window (submitted to workers, or waiting to walk in the consumer) but
-    not yet handed to the consumer, i.e. the quantity the bounded prefetch
-    window is supposed to cap.  ``inline_chunks`` counts the chunks the
+    not yet handed to the consumer, i.e. the quantity the bounded window
+    is supposed to cap.  ``inline_chunks`` counts the chunks the
     consumer walked itself.  ``ipc_walk_bytes`` counts the walk payload
     bytes that crossed the pickle channel (zero for chunks moved through
     the shm ring).  All hooks run on the consumer thread (submission is
@@ -485,19 +482,19 @@ class ParallelWalkGenerator:
         uses ``SeedSequence([seed, 0, j])`` and the start list
         ``SeedSequence([seed, 1])`` — disjoint namespaces, so the streams
         can never collide for any walk index.
-    prefetch:
-        maximum chunks in flight ahead of the consumer (default
-        ``max(2, 2 * n_workers)``).  Bounds peak buffered walks at
-        ``prefetch * chunk_size`` regardless of corpus size — and bounds
-        how many task snapshots are alive at once on the dynamic path.
-        The window never reaches past a chunk the consumer walks itself:
-        the task after it is pulled only once it has been consumed.
     transport:
         ``"shm"`` (default) — pooled chunks travel through a shared-memory
         ring, zero-copy; ``"pickle"`` — they ride the pool's result pipe.
         Chunks walked in the consumer use no IPC.  ``effective_transport``
         records what the last pass actually used after fallback
         (``"inline"`` when no chunk was pooled).
+
+    At most :attr:`prefetch` = ``max(2, 2 * n_workers)`` chunks are in
+    flight ahead of the consumer.  That bounds peak buffered walks at
+    ``prefetch * chunk_size`` regardless of corpus size, and bounds how
+    many task snapshots are alive at once on the dynamic path.  The window
+    never reaches past a chunk the consumer walks itself: the task after it
+    is pulled only once it has been consumed.
     """
 
     def __init__(
@@ -508,22 +505,17 @@ class ParallelWalkGenerator:
         n_workers: int = 0,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         seed: int = 0,
-        prefetch: int | None = None,
         transport: str = "shm",
     ):
         check_positive("chunk_size", chunk_size, integer=True)
         check_in_set("transport", transport, TRANSPORTS)
         if n_workers < 0:
             raise ValueError("n_workers must be >= 0")
-        if prefetch is None:
-            prefetch = max(2, 2 * int(n_workers))
-        check_positive("prefetch", prefetch, integer=True)
         self.graph = graph
         self.params = params or WalkParams()
         self.n_workers = int(n_workers)
         self.chunk_size = int(chunk_size)
         self.seed = int(seed)
-        self.prefetch = int(prefetch)
         self.transport = transport
         #: transport the most recent pass actually used ("inline" while no
         #: chunk was pooled, else "shm" | "pickle"; None before any pass)
@@ -531,13 +523,19 @@ class ParallelWalkGenerator:
         #: flow accounting of the most recent generation pass
         self.last_stats = _FlowStats()
 
+    @property
+    def prefetch(self) -> int:
+        """Chunks kept in flight ahead of the consumer: two per worker, and
+        never fewer than two."""
+        return max(2, 2 * self.n_workers)
+
     # ------------------------------------------------------------------ #
     # Seeding
     # ------------------------------------------------------------------ #
 
     def walk_seed(self, j: int) -> np.random.SeedSequence:
         """The stream of global walk ``j`` — independent of chunking."""
-        return np.random.SeedSequence([self.seed, _WALK_NS, int(j)])
+        return _walk_seed(self.seed, int(j))
 
     def starts_seed(self) -> np.random.SeedSequence:
         """The start-list shuffle stream (disjoint from every walk)."""
@@ -625,7 +623,7 @@ class ParallelWalkGenerator:
         chunk of a live stream trains without waiting for later events.
         Either placement walks the same bits (per-walk seeding).
 
-        The prefetch window is driven entirely from the consumer side:
+        The window is driven entirely from the consumer side:
         pooled jobs are submitted with ``apply_async`` and consumed FIFO,
         one fresh pull per consumed chunk.  Workers therefore never run
         more than ``prefetch`` chunks ahead — the property the streaming
@@ -664,7 +662,7 @@ class ParallelWalkGenerator:
                 try:
                     # one slot more than the window: a new job is dispatched
                     # while the consumer still holds views of the chunk it
-                    # was just handed, so full prefetch depth stays in flight
+                    # was just handed, so the full window stays in flight
                     ring = ShmWalkRing.create(
                         self.prefetch + 1, self.chunk_size, self.params.length
                     )
@@ -710,16 +708,10 @@ class ParallelWalkGenerator:
                 # reference, not the pickled graph, after the snapshot's
                 # first chunk
                 graph_ref = store.ref_for(sid, task_graph) if sid is not None else None
-                if ring is not None:
-                    slot = free_slots.popleft()
-                    fut = pool.apply_async(
-                        _walk_chunk_shm, ((slot, chunk_starts, lo, graph_ref),)
-                    )
-                else:
-                    slot = None
-                    fut = pool.apply_async(
-                        _walk_chunk_pickle, ((chunk_starts, lo, graph_ref),)
-                    )
+                slot = free_slots.popleft() if ring is not None else None
+                fut = pool.apply_async(
+                    _walk_pooled, ((slot, chunk_starts, lo, graph_ref),)
+                )
                 pending.append((job, slot, fut))
 
         try:
@@ -731,14 +723,15 @@ class ParallelWalkGenerator:
                 job, slot, fut = pending.popleft()
                 chunk_starts, lo, epoch, task_graph, sid, task_done = job
                 if fut is None:
-                    batch, gen_s = _run_chunk(
+                    walks, gen_s = _run_chunk(
                         task_graph if task_graph is not None else self.graph,
                         self.params,
                         chunk_starts,
                         self.seed,
                         lo,
                     )
-                    walks = batch.walks()
+                    if isinstance(walks, WalkBatch):
+                        walks = walks.walks()
                     stats.inline_chunks += 1
                 else:
                     result = _await_chunk(
@@ -826,25 +819,24 @@ def train_parallel(
     epochs: int = 1,
     n_workers: int = 0,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    prefetch: int | None = None,
     transport: str = "shm",
     negative_source: str | NegativeSource = "corpus",
     negative_power: float = 0.75,
     exec_backend: str | None = None,
     store: Any | None = None,
-    publish_every: int = 1,
     tasks: Iterable[WalkTask] | None = None,
     seed: SeedLike = 0,
     **model_kwargs: Any,
 ) -> TrainingResult:
     """Streaming pipelined counterpart of :func:`repro.embedding.train_on_graph`.
 
-    Walk chunks stream out of the worker pool through a bounded prefetch
-    window while the main process trains on them — chunk *i* trains while
-    workers generate chunks *i+1 … i+prefetch*, mirroring the PS/PL overlap
-    of the board.  Chunks move through the ``transport`` of choice
-    (``"shm"`` zero-copy ring, default, falling back to ``"pickle"`` when
-    shared memory is unavailable or a chunk outgrows its slot).
+    Walk chunks stream out of the worker pool through a bounded window of
+    ``max(2, 2 * n_workers)`` chunks while the main process trains on them —
+    chunk *i* trains while workers generate the chunks after it, mirroring
+    the PS/PL overlap of the board.  Chunks move through the ``transport``
+    of choice (``"shm"`` zero-copy ring, default, falling back to
+    ``"pickle"`` when shared memory is unavailable or a chunk outgrows its
+    slot).
 
     ``n_workers`` is a cap, not a promise: a chunk of fewer than
     :data:`POOL_MIN_WALK_STEPS` walk-steps — a dynamic replay's per-event
@@ -872,7 +864,7 @@ def train_parallel(
 
     ``chunk_size`` is the number of start nodes per chunk.  Because walks
     are seeded by global walk index, the result is bit-identical across
-    ``n_workers``, ``prefetch``, ``transport`` and ``chunk_size`` settings
+    ``n_workers``, ``transport`` and ``chunk_size`` settings
     for every ``negative_source`` — and bit-identical to itself run
     twice.  (``"decayed"`` keeps all of that but additionally pins its
     fold/rebuild schedule to its canonical ``virtual_chunk``, so only runs
@@ -887,7 +879,7 @@ def train_parallel(
     a large walks/s win at the documented ``BLOCKED_RTOL`` tolerance.
     Because ``"blocked"`` draws each chunk's negatives in one bulk pass,
     its negative stream is pinned to the chunk schedule: results stay
-    bit-identical across ``n_workers``, ``prefetch`` and ``transport``,
+    bit-identical across ``n_workers`` and ``transport``,
     but — like ``"decayed"``'s virtual-chunk contract — change with
     ``chunk_size``.
     ``None`` follows the model's own :attr:`~repro.embedding.base.EmbeddingModel.exec_backend`
@@ -898,8 +890,7 @@ def train_parallel(
     :class:`~repro.store.base.EmbeddingStore` and the pipeline publishes
     versioned epoch snapshots into it as training proceeds — one version
     per training epoch on the static path, one per task epoch on the
-    dynamic path, published when its last chunk has trained (thinned by
-    ``publish_every``; the final epoch always publishes).  Task epochs
+    dynamic path, published when its last chunk has trained.  Task epochs
     must strictly increase (:class:`~repro.parallel.tasks.WalkTask`): a
     task whose epoch is not above the previous task's raises
     ``ValueError`` before it trains or publishes.  Publishes read the
@@ -938,7 +929,6 @@ def train_parallel(
 
     emb_store = None
     if store is not None:
-        check_positive("publish_every", publish_every, integer=True)
         # lazy: repro.store pulls the shm backend, which imports this package
         from repro.store import resolve_store
 
@@ -959,7 +949,6 @@ def train_parallel(
             n_workers=n_workers,
             chunk_size=chunk_size,
             seed=epoch_seeds[epoch],
-            prefetch=prefetch,
             transport=transport,
         )
 
@@ -1027,20 +1016,15 @@ def train_parallel(
 
     published: int | None = None  # the version the store last received
 
-    def _end_version(version: int, last: bool) -> None:
+    def _end_version(version: int) -> None:
         """Close model version ``version`` — a training epoch on the static
-        path, a task epoch on a task stream.  It publishes into the store
-        when ``(version + 1) % publish_every == 0``, and always when it is
-        the run's last version, unless that version is already published.
-        Zero-copy: the table is read through ``embedding_view`` and only
-        changed shards are written; a model without a view falls back to
-        ``.embedding`` and the copy is counted in the telemetry."""
+        path, a task epoch on a task stream — and publish it into the
+        store, unless that version is already published.  Zero-copy: the
+        table is read through ``embedding_view`` and only changed shards
+        are written; a model without a view falls back to ``.embedding``
+        and the copy is counted in the telemetry."""
         nonlocal published
-        if (
-            emb_store is None
-            or version == published
-            or not (last or (version + 1) % publish_every == 0)
-        ):
+        if emb_store is None or version == published:
             return
         published = version
         t0 = time.perf_counter()
@@ -1076,16 +1060,16 @@ def train_parallel(
                 # epochs strictly increase, so its epoch is complete and
                 # closes now, not when the next task's first chunk arrives
                 if tasks is not None and task_done:
-                    _end_version(task_epoch, last=False)
+                    _end_version(task_epoch)
 
         if tasks is None:
-            _end_version(epoch, last=epoch == epochs - 1)
+            _end_version(epoch)
 
     # the last task epoch always publishes: a no-op when its own close
     # already did; a buffered run trains every epoch at once, so this is
     # its only publish
     if tasks is not None and seen_epochs:
-        _end_version(max(seen_epochs), last=True)
+        _end_version(max(seen_epochs))
 
     tele.total_s = time.perf_counter() - t_total
     tele.train_walks = trainer.n_walks

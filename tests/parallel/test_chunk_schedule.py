@@ -5,7 +5,8 @@
 string schedule name or a non-integer is refused at every entry point that
 forwards the knob.  ``negative_source`` takes a registry name only, and
 ``tasks`` is an iterable (a list or a one-shot generator), never a callable
-that rebuilds the stream.
+that rebuilds the stream.  The window depth and the publish schedule are
+not knobs: no entry point takes ``prefetch`` or ``publish_every``.
 """
 
 import inspect
@@ -14,10 +15,16 @@ import numpy as np
 import pytest
 
 from repro.api import train_dynamic, train_embedding
-from repro.dynamic import run_drift_scenario
+from repro.dynamic import run_drift_scenario, run_seq_scenario
 from repro.experiments.hyper import Node2VecParams
 from repro.graph import ring_of_cliques
-from repro.parallel import DEFAULT_CHUNK_SIZE, NEGATIVE_SOURCES, WalkTask, train_parallel
+from repro.parallel import (
+    DEFAULT_CHUNK_SIZE,
+    NEGATIVE_SOURCES,
+    ParallelWalkGenerator,
+    WalkTask,
+    train_parallel,
+)
 
 HP = Node2VecParams(r=2, l=12, w=4, ns=3)
 
@@ -93,29 +100,50 @@ def _run_drift(graph, **kw):
     return run_drift_scenario(graph, dim=8, hyper=HP, seed=1, **kw)
 
 
-ENTRY_POINTS = {
+def _run_seq(graph, **kw):
+    return run_seq_scenario(graph, dim=8, hyper=HP, seed=1, max_events=2, **kw)
+
+
+def _run_generator(graph, **kw):
+    return ParallelWalkGenerator(graph, HP.walk_params(), seed=1, **kw)
+
+
+#: the entry points that train, and so take a ``negative_source``
+TRAINERS = {
     "train_parallel": _run_train_parallel,
     "train_embedding": _run_train_embedding,
     "train_dynamic": _run_train_dynamic,
     "run_drift_scenario": _run_drift,
+    "run_seq_scenario": _run_seq,
 }
+ENTRY_POINTS = {**TRAINERS, "ParallelWalkGenerator": _run_generator}
 
 
 class TestBoundary:
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     @pytest.mark.parametrize(
-        ("bad", "exc"),
-        (("auto", TypeError), (8.0, TypeError), (True, TypeError), (0, ValueError)),
+        ("kw", "exc", "knob"),
+        (
+            ({"chunk_size": "auto"}, TypeError, "chunk_size"),
+            ({"chunk_size": 8.0}, TypeError, "chunk_size"),
+            ({"chunk_size": True}, TypeError, "chunk_size"),
+            ({"chunk_size": 0}, ValueError, "chunk_size"),
+            # the window is max(2, 2 * n_workers) chunks, not a setting
+            ({"prefetch": 2}, TypeError, "prefetch"),
+            ({"prefetch": 0}, TypeError, "prefetch"),
+            # every version publishes when it closes
+            ({"publish_every": 2}, TypeError, "publish_every"),
+        ),
     )
-    def test_chunk_size_must_be_a_positive_int(self, graph, entry, bad, exc):
-        with pytest.raises(exc, match="chunk_size"):
-            ENTRY_POINTS[entry](graph, chunk_size=bad)
+    def test_refused_knobs_name_themselves(self, graph, entry, kw, exc, knob):
+        with pytest.raises(exc, match=knob):
+            ENTRY_POINTS[entry](graph, **kw)
 
-    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("entry", TRAINERS)
     @pytest.mark.parametrize("bad", ("two_pass", "count"))
     def test_unknown_source_lists_the_registry(self, graph, entry, bad):
         with pytest.raises(ValueError, match="negative_source") as err:
-            ENTRY_POINTS[entry](graph, negative_source=bad)
+            TRAINERS[entry](graph, negative_source=bad)
         assert all(name in str(err.value) for name in NEGATIVE_SOURCES)
 
 

@@ -85,14 +85,11 @@ class TestParallelWalkGenerator:
             ParallelWalkGenerator(graph, n_workers=-1)
         with pytest.raises((ValueError, TypeError)):
             ParallelWalkGenerator(graph, chunk_size=0)
-        with pytest.raises((ValueError, TypeError)):
-            ParallelWalkGenerator(graph, prefetch=0)
         for bad in (
             {"n_workers": -1},
             {"n_workers": 1.5},
             {"n_workers": True},
             {"n_workers": "2"},
-            {"prefetch": 0},
             {"chunk_size": 0},
             {"chunk_size": "auto"},
         ):

@@ -102,11 +102,9 @@ class TestNoLookAhead:
 
     def test_pooled_stream_keeps_its_prefetch_window(self, graph, pooled):
         pulled: list = []
-        gen = ParallelWalkGenerator(
-            graph, WalkParams(length=20), n_workers=2, prefetch=3, seed=1
-        )
+        gen = ParallelWalkGenerator(graph, WalkParams(length=20), n_workers=2, seed=1)
         seen = [len(pulled) for _ in gen.stream_timed(small_tasks(graph, 10, pulled))]
-        assert seen[0] == 4  # the window of 3 plus one refill before the yield
+        assert seen[0] == gen.prefetch + 1  # the window plus one refill before the yield
 
 
 class TestLazyPool:

@@ -375,25 +375,6 @@ class TestDynamicReplay:
         )
         assert np.array_equal(res.embedding, inline.embedding)
 
-    def test_one_edge_replay_bit_identical_across_workers_prefetch_transports(
-        self, graph
-    ):
-        """Pooled one-edge events, each publishing its snapshot in full:
-        the embedding must match the inline path (which never ships
-        anything) for every worker count, prefetch depth and transport."""
-        from repro.dynamic import run_seq_scenario
-
-        kw = dict(dim=8, hyper=HP, seed=3, edges_per_event=1, chunk_size=8)
-        want = run_seq_scenario(graph, n_workers=0, **kw).embedding
-        for nw in (2, 4):
-            for pf in (None, 2):
-                for tr in ("shm", "pickle"):
-                    res = run_seq_scenario(
-                        graph, n_workers=nw, prefetch=pf, transport=tr, **kw
-                    )
-                    assert np.array_equal(want, res.embedding), (nw, pf, tr)
-                    assert res.extras["telemetry"].ipc_snapshot_bytes > 0
-
     @pytest.mark.skipif(
         not os.path.isdir("/dev/shm"), reason="needs /dev/shm"
     )

@@ -79,14 +79,19 @@ class TestSeedNamespaces:
 class TestBoundedBuffering:
     def test_peak_buffered_bounded_by_prefetch_not_corpus(self, graph):
         params = WalkParams(length=8, walks_per_node=8)  # 256-walk corpus
-        gen = ParallelWalkGenerator(
-            graph, params, n_workers=2, chunk_size=8, prefetch=2, seed=1
-        )
+        gen = ParallelWalkGenerator(graph, params, n_workers=2, chunk_size=8, seed=1)
         n_walks = sum(len(c) for c in gen.generate())
         assert n_walks == 8 * graph.n_nodes
         peak = gen.last_stats.peak_in_flight
-        assert 0 < peak <= 2 * 8  # prefetch * chunk_size
+        assert 0 < peak <= gen.prefetch * 8  # window * chunk_size
         assert peak < n_walks
+
+    @pytest.mark.parametrize(("n_workers", "window"), ((0, 2), (1, 2), (2, 4), (3, 6)))
+    def test_window_is_derived_from_the_worker_count(self, graph, n_workers, window):
+        gen = ParallelWalkGenerator(graph, n_workers=n_workers)
+        assert gen.prefetch == window
+        with pytest.raises(AttributeError):
+            gen.prefetch = 1
 
     def test_inline_peak_is_one_chunk(self, graph):
         gen = ParallelWalkGenerator(
@@ -97,11 +102,11 @@ class TestBoundedBuffering:
 
     def test_streamed_training_memory_bounded(self, graph):
         res = train_parallel(
-            graph, dim=8, hyper=HP, n_workers=2, chunk_size=8, prefetch=2,
+            graph, dim=8, hyper=HP, n_workers=2, chunk_size=8,
             negative_source="degree", seed=3,
         )
         assert res.n_walks == HP.r * graph.n_nodes
-        assert res.telemetry.peak_buffered_walks <= 2 * 8
+        assert res.telemetry.peak_buffered_walks <= 4 * 8  # window * chunk_size
         assert res.telemetry.peak_buffered_walks < res.n_walks
 
     def test_corpus_source_buffers_everything(self, graph):
@@ -114,7 +119,7 @@ class TestBoundedBuffering:
     def test_abandoned_iterator_shuts_pool_down(self, graph):
         gen = ParallelWalkGenerator(
             graph, WalkParams(length=8, walks_per_node=8),
-            n_workers=2, chunk_size=8, prefetch=2, seed=1,
+            n_workers=2, chunk_size=8, seed=1,
         )
         it = gen.generate()
         next(it)
@@ -123,7 +128,7 @@ class TestBoundedBuffering:
     def test_early_consumption_partial(self, graph):
         gen = ParallelWalkGenerator(
             graph, WalkParams(length=8, walks_per_node=4),
-            n_workers=2, chunk_size=8, prefetch=2, seed=1,
+            n_workers=2, chunk_size=8, seed=1,
         )
         chunks = []
         for chunk in gen.generate():
@@ -157,17 +162,6 @@ class TestNegativeSources:
         )
         assert a.n_walks == b.n_walks
         assert not np.array_equal(a.embedding, b.embedding)
-
-    def test_prefetch_does_not_change_result(self, graph):
-        a = train_parallel(
-            graph, dim=8, hyper=HP, n_workers=2, prefetch=1,
-            negative_source="degree", seed=5,
-        )
-        b = train_parallel(
-            graph, dim=8, hyper=HP, n_workers=2, prefetch=8,
-            negative_source="degree", seed=5,
-        )
-        assert np.array_equal(a.embedding, b.embedding)
 
     # "two_pass" was a source once; nothing stores a source name, so it
     # maps to nothing
@@ -240,8 +234,9 @@ class TestGoldenRegression:
 class TestBlockedBackendPipeline:
     """``exec_backend="blocked"`` relaxes bit-identity to fixed *physical*
     chunking (the bulk negative draw is per chunk): identical across worker
-    counts, prefetch depths and transports; different from reference (a
-    different, equally valid negative stream); pinned to chunk_size."""
+    counts and transports (``tests/parallel/test_bit_identity.py``);
+    different from reference (a different, equally valid negative stream);
+    pinned to chunk_size."""
 
     def run(self, graph, **kw):
         kw.setdefault("chunk_size", 16)
@@ -249,17 +244,6 @@ class TestBlockedBackendPipeline:
         return train_parallel(
             graph, dim=8, hyper=HP, negative_source="degree", seed=5, **kw,
         )
-
-    def test_identical_across_workers_prefetch_and_transports(self, graph):
-        base = self.run(graph)
-        for kw in (
-            {"n_workers": 2},
-            {"n_workers": 4},
-            {"n_workers": 2, "prefetch": 8},
-            {"n_workers": 2, "transport": "pickle"},
-        ):
-            res = self.run(graph, **kw)
-            assert np.array_equal(base.embedding, res.embedding), kw
 
     def test_chunk_size_is_the_contract(self, graph):
         a = self.run(graph, chunk_size=16)
@@ -552,7 +536,7 @@ class TestTelemetryInvariants:
     @pytest.fixture
     def result(self, graph, pooled):
         return train_parallel(
-            graph, dim=8, hyper=HP, n_workers=2, chunk_size=8, prefetch=2,
+            graph, dim=8, hyper=HP, n_workers=2, chunk_size=8,
             negative_source="degree", seed=5, epochs=2,
         )
 
@@ -572,7 +556,7 @@ class TestTelemetryInvariants:
         assert t.epochs == 2
 
     def test_peak_buffered_bounded_by_window(self, result):
-        assert 0 < result.telemetry.peak_buffered_walks <= 2 * 8
+        assert 0 < result.telemetry.peak_buffered_walks <= 4 * 8  # 2 workers' window
 
     def test_transport_recorded(self, result):
         assert result.telemetry.transport in ("shm", "pickle")

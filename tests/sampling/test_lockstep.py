@@ -19,10 +19,7 @@ SEED = 11
 
 def streams(lo, n):
     """The pipeline's per-walk streams for global walks ``lo … lo + n - 1``."""
-    return [
-        as_generator(np.random.SeedSequence([SEED, pipeline_mod._WALK_NS, lo + k]))
-        for k in range(n)
-    ]
+    return [as_generator(pipeline_mod._walk_seed(SEED, lo + k)) for k in range(n)]
 
 
 def per_walk(graph, params, starts, lo):
@@ -34,8 +31,9 @@ def per_walk(graph, params, starts, lo):
     return out
 
 
-def assert_same_walks(expected, batch):
-    got = batch.walks()
+def assert_same_walks(expected, walks):
+    """``walks`` is a :class:`WalkBatch` (lockstep) or the per-walk list."""
+    got = walks.walks() if isinstance(walks, WalkBatch) else walks
     assert len(got) == len(expected)
     for e, g in zip(expected, got, strict=True):
         assert g.dtype == np.int64
@@ -86,8 +84,8 @@ class TestBitIdentity:
         # the kernel itself, at any chunk size
         assert_same_walks(expected, lockstep_walks(g, params, starts, streams(lo, n_walks)))
         # and the pipeline's chunk walker, on both sides of the crossover
-        batch, _ = pipeline_mod._run_chunk(g, params, starts, SEED, lo)
-        assert_same_walks(expected, batch)
+        walks, _ = pipeline_mod._run_chunk(g, params, starts, SEED, lo)
+        assert_same_walks(expected, walks)
 
     @pytest.mark.parametrize("q", [1.0, 0.5])
     def test_heavy_tailed_sbm(self, q):
@@ -153,8 +151,8 @@ class TestBitIdentity:
         expected = per_walk(g, params, starts, 9)
         assert sum(int((w == 0).sum()) for w in expected) > n_walks  # hub revisited
         assert_same_walks(expected, lockstep_walks(g, params, starts, streams(9, n_walks)))
-        batch, _ = pipeline_mod._run_chunk(g, params, starts, SEED, 9)
-        assert_same_walks(expected, batch)
+        walks, _ = pipeline_mod._run_chunk(g, params, starts, SEED, 9)
+        assert_same_walks(expected, walks)
 
 
 class TestChunkPath:

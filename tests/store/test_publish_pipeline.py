@@ -44,16 +44,6 @@ class TestStaticPublish:
         finally:
             store.close()
 
-    def test_publish_every_thins_versions(self, graph):
-        res = train_parallel(
-            graph, dim=8, hyper=HP, epochs=4, seed=0, store="local", publish_every=2
-        )
-        try:
-            assert res.store.epochs() == (1, 3)
-            assert res.telemetry.store_publishes == 2
-        finally:
-            res.store.close()
-
     def test_published_epoch_matches_truncated_reference_run(self, graph):
         """Version *e* of a long run == the final table of a run stopped
         after epoch *e* (the post-hoc reference checkpoint)."""
@@ -138,16 +128,6 @@ class TestDynamicPublish:
         finally:
             store.close()
 
-    def test_dynamic_publish_every(self, graph):
-        res = run_seq_scenario(
-            graph, dim=8, hyper=HP, seed=0, max_events=4, store="local", publish_every=2
-        )
-        tr = res.extras["training_result"]
-        try:
-            assert tr.store.epochs() == (1, 3)
-        finally:
-            tr.store.close()
-
 
 def _task_stream(graph, n_epochs=5):
     """One task per epoch on the base graph, three start nodes each."""
@@ -158,21 +138,15 @@ def _task_stream(graph, n_epochs=5):
 
 
 class TestPublishSchedule:
-    """The exact version list each path publishes: version v publishes when
-    (v + 1) % publish_every == 0, and the last version always publishes.
-    A buffered ``"corpus"`` task run trains everything in one pass after
-    the stream ends, so only its last task epoch is ever published."""
+    """The exact version list each path publishes: every version publishes
+    when it closes.  A buffered ``"corpus"`` task run trains everything in
+    one pass after the stream ends, so only its last task epoch is ever
+    published."""
 
-    @pytest.mark.parametrize("publish_every", [1, 2])
     @pytest.mark.parametrize("path", ["static", "tasks"])
     @pytest.mark.parametrize("source", NEGATIVE_SOURCES)
-    def test_published_versions(self, graph, source, path, publish_every):
-        expected = {
-            ("static", 1): (0, 1, 2),
-            ("static", 2): (1, 2),
-            ("tasks", 1): (0, 1, 2, 3, 4),
-            ("tasks", 2): (1, 3, 4),
-        }[path, publish_every]
+    def test_published_versions(self, graph, source, path):
+        expected = {"static": (0, 1, 2), "tasks": (0, 1, 2, 3, 4)}[path]
         if path == "tasks" and source == "corpus":
             expected = (4,)
         # retain above the version count: the store keeps every publish
@@ -183,7 +157,7 @@ class TestPublishSchedule:
         try:
             res = train_parallel(
                 graph, dim=8, hyper=HP, seed=0, negative_source=source,
-                store=store, publish_every=publish_every, **run,
+                store=store, **run,
             )
             assert store.epochs() == expected
             assert res.telemetry.store_publishes == len(expected)
@@ -282,7 +256,7 @@ class TestEpochContract:
                     store.get(np.arange(graph.n_nodes), epoch=first), alone.embedding
                 )
             else:
-                # the pool's prefetch pulled the second task before the
+                # the pool's window pulled the second task before the
                 # first one's chunk was handed over: nothing trained
                 assert store.epochs() == ()
         finally:

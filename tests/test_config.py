@@ -21,8 +21,6 @@ class TestDataclass:
     def test_validation(self, graph):
         with pytest.raises(ValueError, match="n_workers"):
             train_embedding(graph, dim=8, hyper=HP, seed=1, n_workers=-1)
-        with pytest.raises(ValueError, match="prefetch"):
-            train_embedding(graph, dim=8, hyper=HP, seed=1, n_workers=0, prefetch=0)
         with pytest.raises(TypeError, match="chunk_size"):
             # reprolint: disable=registry-sync(a chunk schedule name that no longer exists)
             train_embedding(graph, dim=8, hyper=HP, seed=1, chunk_size="auto")
