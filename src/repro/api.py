@@ -76,7 +76,7 @@ def train_embedding(
     model: str = "proposed",
     hyper: Node2VecParams | None = None,
     epochs: int = 1,
-    n_workers: int | None = None,
+    n_workers: int = 0,
     negative_source: str | NegativeSource | None = None,
     negative_power: float | None = None,
     transport: str | None = None,
@@ -112,41 +112,37 @@ def train_embedding(
     epochs:
         number of passes over the walk corpus.
     n_workers:
-        ``None`` (default) — the sequential trainer.  Any integer routes
-        through the streaming pipeline (:func:`repro.parallel.train_parallel`):
-        0/1 inline, ≥2 at most that many pool workers overlapping walk
-        generation with training (chunks too small to pay a worker round
-        trip walk inline, see
-        :data:`repro.parallel.pipeline.POOL_MIN_WALK_STEPS`).
+        walk workers of the streaming pipeline
+        (:func:`repro.parallel.train_parallel`, which every call trains
+        through): 0 (default) or 1 walks inline, ≥2 runs at most that many
+        pool workers overlapping walk generation with training (chunks too
+        small to pay a worker round trip walk inline, see
+        :data:`repro.parallel.pipeline.POOL_MIN_WALK_STEPS`).  The
+        embedding is bit-identical across worker counts.
     negative_source:
-        pipeline-only knob; a name from
-        :data:`repro.sampling.sources.SOURCE_REGISTRY` or a
+        a name from :data:`repro.sampling.sources.SOURCE_REGISTRY` or a
         :class:`~repro.sampling.sources.NegativeSource` instance with custom
         knobs (e.g. ``DecayedSource(decay=0.9, rebuild_every=8)``):
 
 {sources}
 
-        ``"corpus"`` is the paper's construction (§3.1): the negative table
-        comes from the whole first-epoch corpus.  Setting it implies the pipelined path even when ``n_workers`` is None.
+        The default ``"corpus"`` is the paper's construction (§3.1): the
+        negative table comes from the whole first-epoch corpus.
     negative_power:
         smoothing exponent on the negative-sampling frequencies (word2vec
         default 0.75).
     transport:
-        pipeline-only knob: ``"shm"`` (zero-copy shared-memory ring, the
-        pipeline default) or ``"pickle"`` (portable result-pipe baseline).
-        Setting it implies the pipelined path even when ``n_workers`` is
-        None.
+        ``"shm"`` (zero-copy shared-memory ring, the default) or
+        ``"pickle"`` (portable result-pipe baseline) for pooled chunks.
     chunk_size:
-        pipeline-only knob: start nodes per work item, an int (default
+        start nodes per work item, an int (default
         :data:`repro.parallel.DEFAULT_CHUNK_SIZE`).  Chunking never changes
         the *walks* (seeded by global walk index) and, under
         ``"reference"``, never the trained embedding either;
         ``"blocked"`` draws one bulk negative batch per chunk, so its
-        embedding is pinned to the chunk size.  Setting it implies the
-        pipelined path.
+        embedding is pinned to the chunk size.
     exec_backend:
-        chunk-execution kernel (:mod:`repro.embedding.kernels`), valid on
-        both the sequential and pipelined paths:
+        chunk-execution kernel (:mod:`repro.embedding.kernels`):
 
 {backends}
 
@@ -156,7 +152,7 @@ def train_embedding(
         pinned to the chunk schedule (still bit-identical across workers
         and transports).
     store:
-        serving-store hookup (implies the pipelined path): a name from
+        serving-store hookup: a name from
         :data:`repro.store.STORE_REGISTRY` or a pre-constructed
         :class:`~repro.store.base.EmbeddingStore`:
 
@@ -176,25 +172,9 @@ def train_embedding(
     Returns
     -------
     :class:`repro.embedding.trainer.TrainingResult` with ``.embedding``
-    (n_nodes × dim), the trained model, op-count telemetry, and — on the
-    pipelined path — per-stage ``telemetry``.
+    (n_nodes × dim), the trained model, op-count telemetry and the
+    pipeline's per-stage ``telemetry``.
     """
-    # knobs left at None are not forwarded: the callee's own defaults apply
-    knobs = _passed(negative_power=negative_power, exec_backend=exec_backend)
-    routing = _passed(
-        n_workers=n_workers,
-        negative_source=negative_source,
-        transport=transport,
-        chunk_size=chunk_size,
-    )
-    if store is None and not routing:
-        from repro.embedding.trainer import train_on_graph
-
-        return train_on_graph(
-            graph, dim=dim, model=model, hyper=hyper, epochs=epochs, seed=seed,
-            **knobs, **model_kwargs,
-        )
-
     from repro.parallel import train_parallel
 
     return train_parallel(
@@ -203,10 +183,17 @@ def train_embedding(
         model=model,
         hyper=hyper,
         epochs=epochs,
+        n_workers=n_workers,
         store=store,
         seed=seed,
-        **knobs,
-        **routing,
+        # knobs left at None are not forwarded: the pipeline's defaults apply
+        **_passed(
+            negative_source=negative_source,
+            negative_power=negative_power,
+            transport=transport,
+            chunk_size=chunk_size,
+            exec_backend=exec_backend,
+        ),
         **model_kwargs,
     )
 

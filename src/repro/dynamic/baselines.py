@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dynamic.scenarios import ScenarioResult, _resolve_model
-from repro.embedding.trainer import WalkTrainer
+from repro.dynamic.scenarios import ScenarioResult
+from repro.embedding.trainer import WalkTrainer, make_model
 from repro.graph.components import forest_split
 from repro.graph.csr import CSRGraph
 from repro.graph.dynamic import DynamicGraph, edge_stream
@@ -49,7 +49,9 @@ def run_dynnode2vec_scenario(
     check_positive("n_snapshots", n_snapshots, integer=True)
     hp = hyper or Node2VecParams()
     rng = as_generator(seed)
-    model = _resolve_model("original", graph, dim, rng.integers(2**63), model_kwargs)
+    model = make_model(
+        "original", graph.n_nodes, dim, seed=rng.integers(2**63), **(model_kwargs or {})
+    )
     trainer = WalkTrainer(model, window=hp.w, ns=hp.ns)
 
     split = forest_split(graph, seed=rng.integers(2**63))

@@ -41,12 +41,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.embedding.base import EmbeddingModel
-from repro.embedding.trainer import WalkTrainer, make_model
 from repro.graph.components import forest_split
 from repro.graph.csr import CSRGraph
 from repro.graph.dynamic import DynamicGraph, edge_stream
-from repro.sampling.negative import NegativeSampler
-from repro.sampling.walks import Node2VecWalker
 from repro.utils.rng import as_generator, draw_seed
 from repro.utils.validation import check_positive
 
@@ -66,14 +63,6 @@ class ScenarioResult:
     extras: dict = field(default_factory=dict)
 
 
-def _resolve_model(model, graph, dim, seed, model_kwargs) -> EmbeddingModel:
-    if isinstance(model, str):
-        return make_model(model, graph.n_nodes, dim, seed=seed, **(model_kwargs or {}))
-    if model_kwargs:
-        raise ValueError("model_kwargs only apply when model is a registry name")
-    return model
-
-
 def run_all_scenario(
     graph: CSRGraph,
     *,
@@ -83,25 +72,20 @@ def run_all_scenario(
     seed=None,
     model_kwargs: dict | None = None,
 ) -> ScenarioResult:
-    """Figure 6's "all" case: every edge present from the start."""
-    from repro.experiments.hyper import Node2VecParams
+    """Figure 6's "all" case: every edge present from the start, trained
+    on the static corpus by :func:`repro.parallel.train_parallel` — the
+    engine the "seq" replay streams through, so the two differ only in
+    protocol."""
+    from repro.parallel import train_parallel
 
-    hp = hyper or Node2VecParams()
-    rng = as_generator(seed)
-    mdl = _resolve_model(model, graph, dim, rng.integers(2**63), model_kwargs)
-
-    walker = Node2VecWalker(graph, hp.walk_params(), seed=rng.integers(2**63))
-    walks = walker.simulate()
-    sampler = NegativeSampler.from_walks(
-        walks, graph.n_nodes, seed=rng.integers(2**63)
+    result = train_parallel(
+        graph, model=model, dim=dim, hyper=hyper, seed=seed, **(model_kwargs or {})
     )
-    trainer = WalkTrainer(mdl, window=hp.w, ns=hp.ns)
-    trainer.train_corpus(walks, sampler)
     return ScenarioResult(
-        embedding=mdl.embedding,
-        model=mdl,
-        n_walks=trainer.n_walks,
-        n_contexts=trainer.n_contexts,
+        embedding=result.embedding,
+        model=result.model,
+        n_walks=result.n_walks,
+        n_contexts=result.n_contexts,
         n_events=0,
         scenario="all",
     )

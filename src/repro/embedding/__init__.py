@@ -21,7 +21,6 @@ from repro.embedding.trainer import (
     TrainingResult,
     WalkTrainer,
     make_model,
-    train_on_graph,
 )
 
 __all__ = [
@@ -41,5 +40,4 @@ __all__ = [
     "make_backend",
     "make_model",
     "resolve_backend",
-    "train_on_graph",
 ]

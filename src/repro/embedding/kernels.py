@@ -780,8 +780,8 @@ class BlockedKernel(ExecBackend):
     )
     #: bulk-draw/staging width: big enough that the draw and the kernel
     #: dispatch amortize (pipeline chunks are typically ≤ this, so one
-    #: block == one chunk), small enough that a whole-corpus call — the
-    #: sequential trainer's epoch — stays O(block) memory
+    #: block == one chunk), small enough that a whole-corpus call — a
+    #: buffered ``"corpus"`` epoch — stays O(block) memory
     block_walks = 1024
     #: blocked stages a whole block of contexts, so model-owned cross-walk
     #: deferral spans are legal here (module docstring, "batch_rls")

@@ -18,15 +18,12 @@ from repro.embedding.dataflow import DataflowOSELMSkipGram
 from repro.embedding.kernels import EXEC_REGISTRY, default_negative_reuse, resolve_backend
 from repro.embedding.sequential import OSELMSkipGram
 from repro.embedding.skipgram import SkipGramSGD
-from repro.graph.csr import CSRGraph
 from repro.hw.opcount import OpCount
 from repro.sampling.negative import NegativeSampler
-from repro.sampling.walks import Node2VecWalker
 from repro.utils.blas import limit_blas_threads
-from repro.utils.rng import as_generator, draw_seed
 from repro.utils.validation import check_in_set, check_positive
 
-__all__ = ["TrainingResult", "WalkTrainer", "make_model", "train_on_graph"]
+__all__ = ["TrainingResult", "WalkTrainer", "make_model"]
 
 #: Model names → classes.  ``"block"`` (exact per-walk block RLS) is
 #: ``"batch_rls"`` at its default ``defer_span="walk"``: one rank-C solve
@@ -63,9 +60,10 @@ if make_model.__doc__:  # pragma: no branch - absent only under python -OO
 class TrainingResult:
     """Outcome of a training run.
 
-    ``telemetry`` is ``None`` for the sequential path; the pipelined
-    :func:`repro.parallel.train_parallel` attaches its per-stage
-    :class:`repro.parallel.PipelineTelemetry` here.
+    ``telemetry`` carries the per-stage
+    :class:`repro.parallel.PipelineTelemetry` of the
+    :func:`repro.parallel.train_parallel` run that produced it (``None``
+    on a result read straight off a bare :class:`WalkTrainer`).
 
     ``store`` is the live :class:`repro.store.base.EmbeddingStore` the run
     published epoch versions into (``None`` when no ``store=`` was
@@ -211,51 +209,3 @@ class WalkTrainer:
             store=store,
         )
 
-
-def train_on_graph(
-    graph: CSRGraph,
-    *,
-    dim: int = 32,
-    model: str | EmbeddingModel = "proposed",
-    hyper=None,
-    epochs: int = 1,
-    negative_power: float = 0.75,
-    exec_backend: str | None = None,
-    seed=None,
-    **model_kwargs,
-) -> TrainingResult:
-    """End-to-end training: walks (Table 2 policy) → negatives → model.
-
-    ``hyper`` is a :class:`repro.experiments.hyper.Node2VecParams` (or None
-    for the paper's defaults).  ``model`` may be a registry name or an
-    already-built :class:`EmbeddingModel`.  ``exec_backend`` selects the
-    chunk-execution kernel (``"reference"`` | ``"blocked"``, see
-    :mod:`repro.embedding.kernels`); ``None`` follows the model's own
-    preference (``"reference"`` unless restored from a checkpoint that says
-    otherwise).
-    """
-    from repro.experiments.hyper import Node2VecParams  # local: avoid cycle
-
-    check_positive("epochs", epochs, integer=True)
-    hp = hyper or Node2VecParams()
-    rng = as_generator(seed)
-
-    if isinstance(model, str):
-        model = make_model(
-            model, graph.n_nodes, dim, seed=draw_seed(rng), **model_kwargs
-        )
-    elif model_kwargs:
-        raise ValueError("model_kwargs only apply when model is a registry name")
-
-    walker = Node2VecWalker(graph, hp.walk_params(), seed=draw_seed(rng))
-    trainer = WalkTrainer(model, window=hp.w, ns=hp.ns, exec_backend=exec_backend)
-    sampler: NegativeSampler | None = None
-    for _ in range(epochs):
-        walks = walker.simulate()
-        if sampler is None:
-            # frequency over the entire RW, as in §3.1
-            sampler = NegativeSampler.from_walks(
-                walks, graph.n_nodes, power=negative_power, seed=draw_seed(rng)
-            )
-        trainer.train_corpus(walks, sampler)
-    return trainer.result(hyper=hp)

@@ -828,7 +828,9 @@ def train_parallel(
     seed: SeedLike = 0,
     **model_kwargs: Any,
 ) -> TrainingResult:
-    """Streaming pipelined counterpart of :func:`repro.embedding.train_on_graph`.
+    """Train an embedding on ``graph``'s walk corpus: the one training
+    engine behind :func:`repro.train_embedding`, the "all" and "seq"
+    scenarios and :func:`repro.train_dynamic`.
 
     Walk chunks stream out of the worker pool through a bounded window of
     ``max(2, 2 * n_workers)`` chunks while the main process trains on them —
@@ -868,8 +870,8 @@ def train_parallel(
     for every ``negative_source`` — and bit-identical to itself run
     twice.  (``"decayed"`` keeps all of that but additionally pins its
     fold/rebuild schedule to its canonical ``virtual_chunk``, so only runs
-    sharing that value agree.)  Seeds derive from the same 63-bit stream as
-    the sequential trainer (:func:`repro.utils.rng.draw_seed`).
+    sharing that value agree.)  Every component seed is one 63-bit draw
+    from ``seed`` (:func:`repro.utils.rng.draw_seed`).
 
     ``exec_backend`` selects the chunk-execution kernel
     (:data:`repro.embedding.kernels.EXEC_REGISTRY`): ``"reference"`` is the
@@ -962,7 +964,7 @@ def train_parallel(
     )
     t_total = time.perf_counter()
 
-    seen_epochs: set[int] = set()
+    last_epoch: int | None = None  # the task epoch of the newest chunk
     consumed = 0  # global walk counter pinning the virtual-chunk schedule
 
     def _chunks(gen: ParallelWalkGenerator) -> Iterator[tuple[list, int, bool]]:
@@ -970,15 +972,18 @@ def train_parallel(
         corpus when ``tasks`` is None), yielding ``(walks, task_epoch,
         task_done)`` and folding stall/generation times, the chunk count,
         snapshot accounting, transport and the buffering high-water mark
-        into the telemetry."""
+        into the telemetry.  Task epochs strictly increase and every static
+        pass walks epoch 0, so a snapshot is new exactly when its epoch
+        differs from the previous chunk's."""
+        nonlocal last_epoch
         t_wait = time.perf_counter()
         for walks, gen_s, epoch, task_done in gen.stream_timed(tasks):
             stalled = time.perf_counter() - t_wait
             tele.wait_s += stalled
-            if epoch not in seen_epochs:
-                seen_epochs.add(epoch)
+            if epoch != last_epoch:
+                last_epoch = epoch
                 tele.snapshot_stall_s += stalled
-                tele.n_snapshots = len(seen_epochs)
+                tele.n_snapshots += 1
             tele.generation_s += gen_s
             tele.n_chunks += 1
             yield walks, epoch, task_done
@@ -1068,8 +1073,8 @@ def train_parallel(
     # the last task epoch always publishes: a no-op when its own close
     # already did; a buffered run trains every epoch at once, so this is
     # its only publish
-    if tasks is not None and seen_epochs:
-        _end_version(max(seen_epochs))
+    if tasks is not None and last_epoch is not None:
+        _end_version(last_epoch)
 
     tele.total_s = time.perf_counter() - t_total
     tele.train_walks = trainer.n_walks

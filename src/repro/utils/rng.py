@@ -49,12 +49,11 @@ def as_generator(seed: SeedLike = None) -> np.random.Generator:
 def draw_seed(rng: SeedLike) -> int:
     """Draw one 63-bit integer seed from ``rng``.
 
-    The single seed-derivation rule shared by the sequential and pipelined
-    trainers: every component seed (model init, walker, negative sampler,
-    per-epoch generators) is one draw from the caller's stream, in a fixed
-    documented order, so the two training paths stay comparable and no
-    component accidentally narrows the stream (the old parallel path drew
-    from ``2**31``/``2**62`` while the sequential path used ``2**63``).
+    The single seed-derivation rule of the training engine and the
+    scenario drivers: every component seed (model init, negative sampler,
+    per-epoch walk generators, forest split) is one draw from the caller's
+    stream, in a fixed documented order, so no component narrows the
+    stream.
     """
     return int(as_generator(rng).integers(2**63))
 

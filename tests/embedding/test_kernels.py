@@ -202,9 +202,9 @@ class TestReferenceBitIdentity:
 
 
 class TestBlockedStaging:
-    """train_chunk stages contexts+negatives in bounded blocks: an epoch
-    corpus handed to the sequential trainer must never materialize its
-    whole (window+ns)× expansion at once."""
+    """train_chunk stages contexts+negatives in bounded blocks: a buffered
+    epoch corpus handed over in one call must never materialize its whole
+    (window+ns)× expansion at once."""
 
     def test_reference_stages_one_walk(self):
         assert ReferenceKernel.block_walks == 1

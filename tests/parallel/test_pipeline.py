@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.embedding import MODEL_REGISTRY
 from repro.graph import ring_of_cliques
 from repro.parallel import ParallelWalkGenerator, train_parallel
 from repro.experiments.hyper import Node2VecParams
@@ -108,10 +109,12 @@ class TestParallelWalkGenerator:
 
 
 class TestTrainParallel:
-    def test_runs_and_shapes(self, graph):
-        res = train_parallel(graph, dim=8, model="proposed", hyper=HP, seed=0)
+    @pytest.mark.parametrize("model", sorted(MODEL_REGISTRY))
+    def test_every_registry_model_runs(self, graph, model):
+        res = train_parallel(graph, dim=8, model=model, hyper=HP, seed=0)
         assert res.embedding.shape == (graph.n_nodes, 8)
         assert res.n_walks == HP.r * graph.n_nodes
+        assert np.isfinite(res.embedding).all()
 
     def test_bit_identical_across_worker_counts(self, graph):
         a = train_parallel(graph, dim=8, hyper=HP, n_workers=0, seed=5)
@@ -122,6 +125,11 @@ class TestTrainParallel:
         a = train_parallel(graph, dim=8, hyper=HP, n_workers=2, seed=9)
         b = train_parallel(graph, dim=8, hyper=HP, n_workers=2, seed=9)
         assert np.array_equal(a.embedding, b.embedding)
+
+    def test_seed_matters(self, graph):
+        a = train_parallel(graph, dim=8, hyper=HP, seed=1)
+        b = train_parallel(graph, dim=8, hyper=HP, seed=2)
+        assert not np.array_equal(a.embedding, b.embedding)
 
     def test_telemetry_attached_by_default(self, graph):
         res = train_parallel(graph, dim=8, hyper=HP, seed=0)
@@ -139,6 +147,13 @@ class TestTrainParallel:
         mdl = make_model("proposed", graph.n_nodes, 8, seed=1)
         res = train_parallel(graph, model=mdl, hyper=HP, seed=0)
         assert res.model is mdl
+
+    def test_model_instance_rejects_model_kwargs(self, graph):
+        from repro.embedding.trainer import make_model
+
+        mdl = make_model("proposed", graph.n_nodes, 8, seed=1)
+        with pytest.raises(ValueError, match="model_kwargs"):
+            train_parallel(graph, model=mdl, hyper=HP, seed=0, mu=0.5)
 
     def test_model_kwargs_forwarded(self, graph):
         res = train_parallel(graph, dim=8, hyper=HP, seed=0, mu=0.123)

@@ -523,12 +523,6 @@ class TestTelemetry:
         assert t.generation_s > 0
         assert 0.0 <= t.overlap_efficiency <= 1.0
 
-    def test_sequential_result_has_no_telemetry(self, graph):
-        from repro.embedding.trainer import train_on_graph
-
-        res = train_on_graph(graph, dim=8, hyper=HP, seed=0)
-        assert res.telemetry is None
-
 
 class TestTelemetryInvariants:
     """The accounting contracts of PipelineTelemetry over a two-epoch run."""
@@ -585,6 +579,56 @@ class TestInlineStateIsolation:
         assert max(len(w) for w in c2) <= 10
 
 
+class TestOneEngine:
+    """``train_embedding`` and the "all" scenario train through
+    ``train_parallel`` with the paper's ``"corpus"`` source: the same bits
+    under every backend."""
+
+    @pytest.mark.parametrize("backend", EXEC_BACKENDS)
+    def test_train_embedding_is_train_parallel(self, graph, backend):
+        from repro import train_embedding
+
+        kw = dict(dim=8, hyper=HP, exec_backend=backend, seed=4)
+        api = train_embedding(graph, **kw)
+        direct = train_parallel(graph, negative_source="corpus", **kw)
+        assert np.array_equal(api.embedding, direct.embedding)
+        assert (api.n_walks, api.n_contexts) == (direct.n_walks, direct.n_contexts)
+
+    @pytest.mark.parametrize("backend", EXEC_BACKENDS)
+    def test_all_scenario_is_train_parallel(self, graph, backend):
+        from repro.dynamic import run_all_scenario
+        from repro.embedding import make_model
+
+        def model():
+            # the scenario takes no backend knob; it follows the model's preference
+            mdl = make_model("dataflow", graph.n_nodes, 8, seed=1)
+            mdl.exec_backend = backend
+            return mdl
+
+        scenario = run_all_scenario(graph, model=model(), hyper=HP, seed=4)
+        direct = train_parallel(
+            graph, model=model(), hyper=HP, negative_source="corpus", seed=4
+        )
+        assert np.array_equal(scenario.embedding, direct.embedding)
+        assert (scenario.n_walks, scenario.n_contexts) == (
+            direct.n_walks, direct.n_contexts
+        )
+
+    def test_all_scenario_forwards_model_kwargs(self, graph):
+        from repro.dynamic import run_all_scenario
+
+        scenario = run_all_scenario(
+            graph, model="proposed", dim=8, hyper=HP, seed=4,
+            model_kwargs={"mu": 0.05},
+        )
+        direct = train_parallel(
+            graph, model="proposed", dim=8, hyper=HP,
+            negative_source="corpus", seed=4, mu=0.05,
+        )
+        assert scenario.model.mu == 0.05
+        assert np.array_equal(scenario.embedding, direct.embedding)
+
+
 class TestApiIntegration:
     def test_api_routes_to_pipeline(self, graph):
         from repro import train_embedding
@@ -598,30 +642,9 @@ class TestApiIntegration:
         )
         assert np.array_equal(res.embedding, direct.embedding)
 
-    def test_api_negative_source_alone_implies_pipeline(self, graph):
+    def test_api_forwards_exec_backend(self, graph):
         from repro import train_embedding
 
-        res = train_embedding(graph, dim=8, hyper=HP, negative_source="degree", seed=5)
-        assert res.telemetry is not None
-        assert res.telemetry.n_workers == 0
-
-    def test_api_default_stays_sequential(self, graph):
-        from repro import train_embedding
-        from repro.embedding.trainer import train_on_graph
-
-        a = train_embedding(graph, dim=8, hyper=HP, seed=4)
-        b = train_on_graph(graph, dim=8, hyper=HP, seed=4)
-        assert a.telemetry is None
-        assert np.array_equal(a.embedding, b.embedding)
-
-    def test_api_exec_backend_valid_on_both_paths(self, graph):
-        """exec_backend alone does NOT imply the pipeline (the sequential
-        trainer supports it too), and it rides into the pipelined path."""
-        from repro import train_embedding
-
-        seq = train_embedding(graph, dim=8, hyper=HP, exec_backend="blocked", seed=4)
-        assert seq.telemetry is None
-        assert seq.model.exec_backend == "blocked"
         par = train_embedding(
             graph, dim=8, hyper=HP, n_workers=2, negative_source="degree",
             exec_backend="blocked", seed=4,

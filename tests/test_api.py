@@ -55,22 +55,17 @@ class TestTrainEmbedding:
         res = train_embedding(graph, dim=8, hyper=HP, seed=0)
         assert res.ops.mac > 0
         assert res.ops.walk == res.n_walks
-        # pipeline telemetry marks the route: negative_power alone stays
-        # sequential, any n_workers (even 0, inline) takes the pipeline
-        assert res.telemetry is None
-        seq = train_embedding(graph, dim=8, hyper=HP, seed=0, negative_power=0.5)
-        assert seq.telemetry is None
-        assert train_embedding(graph, dim=8, hyper=HP, seed=0, n_workers=0).telemetry
+        assert res.telemetry.train_walks == res.n_walks
 
     def test_quick_embedding_matches_train(self, graph):
         a = quick_embedding(graph, dim=8, seed=4)
         b = train_embedding(graph, dim=8, model="proposed", seed=4).embedding
+        assert a.shape == (graph.n_nodes, 8)
         assert np.array_equal(a, b)
 
-    def test_store_kwarg_implies_pipeline_and_attaches_store(self, graph):
+    def test_store_kwarg_attaches_store(self, graph):
         res = train_embedding(graph, dim=8, hyper=HP, seed=0, store="local")
         try:
-            assert res.telemetry is not None
             assert res.store is not None
             assert np.array_equal(
                 res.store.get(np.arange(graph.n_nodes)), res.embedding
